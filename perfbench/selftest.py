@@ -1,26 +1,24 @@
 """Self-tests of the oracle-opt benchmark.
 
-    python3 perfbench/selftest.py [--workload matching-sweep]
+    python3 perfbench/selftest.py
 
 1. The correctness gate is not vacuous: a certificate whose largest
    multiplier on a nonzero row is halved, or negated, must be rejected,
    while the untouched certificate passes.
-2. Two runs with one seed give identical iterations_mean and oracle_calls
-   (untraced) and identical lp_baseline.solve_lp.calls (traced).
-3. Known defect, reported and not failed: the polytope-corrective n = 60
-   instance with its objective scaled by 1e8.  Certificates that are valid
-   in exact arithmetic fail verify_certificate's absolute 1e-6 tolerances
-   there, so the instance stays out of the timed workload until the
-   certificate check is scale-invariant.
+2. The rhs test that replaces verify_certificate's absolute one on the
+   1e8-scaled polytope is not vacuous: the untouched certificate passes,
+   one whose claimed bound is lowered by 100 rounding allowances fails.
+3. Two runs of matching-sweep with one seed give identical
+   iterations_mean and oracle_calls (untraced) and identical
+   lp_baseline.solve_lp.calls (traced).
 
-Exits 0 when checks 1 and 2 hold.
+Exits 0 when all three hold.
 """
 
 import os
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import argparse
 import copy
 import json
 import subprocess
@@ -75,28 +73,32 @@ def gate_rejects_corruption() -> list[str]:
     return problems
 
 
-def scaled_instance_report() -> None:
+def scaled_gate_rejects_lower_bound() -> list[str]:
     import workloads
 
     oracle, c, opt = workloads.random_polytope(60, 0, scale=1e8)
-    for variant in workloads.POLYTOPE_VARIANTS:
-        out = workloads.solve_polytope(variant, oracle, c, opt, variant)
-        workloads.check_certificate(out)
-        verdict = "passes" if not out.failures() else "KNOWN DEFECT: " + "; ".join(out.failures())
-        print(f"  n60 x 1e8 {variant}: {verdict} (rhs margin {out.report.rhs_margin:.3g})")
+    clean = workloads.solve_polytope("selftest", oracle, c, opt, "polar_fc10", scaled=True)
+    workloads.check_certificate(clean)
+    if clean.failures():
+        return [f"clean scaled certificate rejected: {clean.failures()}"]
+    out = copy.copy(clean)
+    out.certificate = copy.copy(clean.certificate)
+    out.certificate.claimed_bound -= 100 * clean.rhs_allowance
+    workloads.check_certificate(out)
+    return [] if out.failures() else ["scaled gate accepted a claimed bound below its aggregated rhs"]
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", default="matching-sweep")
-    args = parser.parse_args()
     sys.path[:0] = [str(ROOT / "src"), str(HERE)]
 
     problems = gate_rejects_corruption()
     print("gate rejects corrupted multipliers:", "ok" if not problems else "FAILED")
+    scaled = scaled_gate_rejects_lower_bound()
+    print("scaled rhs gate rejects a lowered bound:", "ok" if not scaled else "FAILED")
+    problems += scaled
 
-    untraced = [bench(args.workload, 5, 0)["metrics"] for _ in range(2)]
-    traced = [bench(args.workload, 5, 1)["metrics"] for _ in range(2)]
+    untraced = [bench("matching-sweep", 5, 0)["metrics"] for _ in range(2)]
+    traced = [bench("matching-sweep", 5, 1)["metrics"] for _ in range(2)]
     for name, runs in (("iterations_mean", untraced), ("oracle_calls", untraced),
                        ("lp_baseline.solve_lp.calls", traced)):
         values = [r[name]["value"] for r in runs]
@@ -105,8 +107,6 @@ def main() -> int:
         if not same:
             problems.append(f"{name} differs between two runs with one seed: {values}")
 
-    print("scaled polytope instance (not in the timed workload):")
-    scaled_instance_report()
     for problem in problems:
         print("FAILED " + problem)
     return 1 if problems else 0
