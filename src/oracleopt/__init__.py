@@ -19,15 +19,7 @@ from .corrective import (
     segment_plus_nonneg,
     sparsify,
 )
-from .geometry import (
-    LiftedVec,
-    dist_to_shifted_orthant,
-    min_piecewise_quadratic_on_segment,
-    min_rnorm_on_segment,
-    project_point_to_segment,
-    rinner,
-    rnorm,
-)
+from .geometry import min_piecewise_quadratic_on_segment, project_point_to_segment
 from .lp_baseline import (
     InfeasibleLPError,
     LinearProgram,
@@ -51,7 +43,6 @@ from .oracle import (
 )
 from .solver_general import (
     GeneralState,
-    extract_candidate,
     general_dual_bound,
     general_step,
     run_general,

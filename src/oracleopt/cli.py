@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import combinatorial as comb
 from .certificates import certificate_from_text, verify_certificate
-from .harness import load_config, run_experiment
+from .harness import CHOICES, ExperimentConfig, load_config, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -25,24 +26,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one configured experiment")
     run.add_argument("--config", help="flat key=value config file")
-    run.add_argument("--problem", choices=("matching", "stableset", "synthetic-ball", "synthetic-polytope"))
-    run.add_argument("--method", choices=("polar", "general", "cutloop"))
-    run.add_argument("--frequency", type=int)
-    run.add_argument("--init", choices=("standard", "optimal"))
-    run.add_argument("--initial-constraints", dest="initial_constraints", choices=("upper_bound", "basic"))
-    run.add_argument("--iters", type=int)
-    run.add_argument("--stop", choices=("auto", "lp1pct", "gap", "cap"))
-    run.add_argument("--epsilon", type=float)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--out")
-    run.add_argument("--nodes", type=int)
-    run.add_argument("--triangles", type=int)
-    run.add_argument("--density", type=float)
-    run.add_argument("--dim", type=int)
-    run.add_argument("--radius", type=float)
-    run.add_argument("--center-offset", dest="center_offset", type=float)
-    run.add_argument("--max-set-size", dest="max_set_size", type=int)
-    run.add_argument("--graph", dest="graph_file")
+    for f in fields(ExperimentConfig):
+        flag = "--graph" if f.name == "graph_file" else "--" + f.name.replace("_", "-")
+        run.add_argument(flag, dest=f.name, type=type(f.default), choices=CHOICES.get(f.name))
 
     gen = sub.add_parser("gen", help="generate a triangle-union instance")
     gen.add_argument("--nodes", type=int, required=True)
@@ -58,30 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "problem",
-            "method",
-            "frequency",
-            "init",
-            "initial_constraints",
-            "iters",
-            "stop",
-            "epsilon",
-            "seed",
-            "out",
-            "nodes",
-            "triangles",
-            "density",
-            "dim",
-            "radius",
-            "center_offset",
-            "max_set_size",
-            "graph_file",
-        )
-        if getattr(args, key, None) is not None
-    }
+    overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
     config = load_config(args.config, overrides)
     summary, trace_path = run_experiment(config)
     status = "converged" if summary.converged else "iteration cap hit"
@@ -109,12 +72,13 @@ def _row_matches_instance(name: str, cons, graph: comb.Graph, problem: str) -> b
     kind, _, payload = name.partition(":")
     if kind == "zero":
         return bool(np.allclose(cons.a, 0.0) and abs(cons.b - 1.0) <= 1e-9)
-    if kind == "ub":
-        j = int(payload)
+    if kind in ("ub", "nonneg"):
+        # ub:j is x_j <= 1 and nonneg:j is -x_j <= 0
+        sign, rhs = (1.0, 1.0) if kind == "ub" else (-1.0, 0.0)
         dim = graph.n_edges if problem == "matching" else graph.n_nodes
         e = np.zeros(dim)
-        e[j] = 1.0
-        return bool(np.allclose(cons.a, e, atol=1e-9) and abs(cons.b - 1.0) <= 1e-9)
+        e[int(payload)] = sign
+        return bool(np.allclose(cons.a, e, atol=1e-9) and abs(cons.b - rhs) <= 1e-9)
     if kind == "degree" and problem == "matching":
         ref = comb.degree_constraint(graph, int(payload))
         return bool(np.allclose(cons.a, ref.a, atol=1e-9) and abs(cons.b - ref.b) <= 1e-9)

@@ -497,6 +497,17 @@ def stableset_initial_rows(graph: Graph, preset: str) -> list[Constraint]:
     return rows
 
 
+def separate_nonneg(x: np.ndarray) -> Violated | None:
+    """The row -x_j <= 0 of the most negative coordinate, if it is violated."""
+    j = int(np.argmin(x))
+    if x[j] >= -VIOLATION_TOL:
+        return None
+    a = np.zeros(x.shape[0])
+    a[j] = -1.0
+    cons = Constraint(a, 0.0, ConstraintForm.RAW, f"nonneg:{j}")
+    return Violated(cons, cons.violation(x))
+
+
 class MatchingOracle(SeparationOracle):
     """Separation for the matching polytope: degree rows and odd sets.
 
@@ -516,8 +527,9 @@ class MatchingOracle(SeparationOracle):
 
     def separate(self, x) -> SeparationResult:
         x = as_vector(x)
-        if np.min(x) < -VIOLATION_TOL:
-            raise ValueError("query outside the nonnegative orthant")
+        outside = separate_nonneg(x)
+        if outside is not None:
+            return outside
         inc = self._incidence
         best_deg, best_node = 0.0, None
         for v in range(self.graph.n_nodes):
@@ -556,6 +568,4 @@ class StableSetOracle(SeparationOracle):
 
     def separate(self, x) -> SeparationResult:
         x = as_vector(x)
-        if np.min(x) < -VIOLATION_TOL:
-            raise ValueError("query outside the nonnegative orthant")
-        return separate_clique(self.graph, x)
+        return separate_nonneg(x) or separate_clique(self.graph, x)

@@ -217,11 +217,6 @@ def _affine_minimizer(shifted, active_atoms, active_rays):
     return sol[:k], sol[k : k + r]
 
 
-def fully_corrective_update(target, atoms, recession_nonneg: bool = False) -> MinNormResult:
-    """Replace the maintained point by the projection onto conv(atoms)."""
-    return min_norm_point(target, atoms, recession_nonneg=recession_nonneg)
-
-
 def partially_corrective_update(
     target, atoms, weights, last_index: int, cap: int, recession_nonneg: bool = False
 ) -> MinNormResult:

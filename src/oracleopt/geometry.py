@@ -1,14 +1,11 @@
 """Low-level vector geometry shared by all solvers.
 
-Everything here is pure: plain Euclidean segment projection, the lifted
-norm used by the general-case solver, distances to orthant-shifted points
-for packing problems, and the piecewise-quadratic minimization that powers
-the non-negativity-aware update.
+Everything here is pure: input coercion, plain Euclidean segment
+projection, and the piecewise-quadratic minimization that powers the
+non-negativity-aware update of packing problems.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,91 +51,11 @@ def project_point_to_segment(x, y, z) -> tuple[np.ndarray, float]:
     return x + lam * d, lam
 
 
-@dataclass(frozen=True)
-class LiftedVec:
-    """A constraint-space vector (head, tail) with enclosing-ball scale.
-
-    The tail coordinate carries the right-hand side of an inequality; the
-    scale is the radius of the ball the norm is calibrated against, so that
-    rnorm(LiftedVec(0, R, R)) == 1 exactly.
-    """
-
-    head: np.ndarray
-    tail: float
-    scale: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "head", as_vector(self.head))
-        object.__setattr__(self, "tail", float(self.tail))
-        object.__setattr__(self, "scale", float(self.scale))
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.head.shape[0]
-
-    def phi(self) -> np.ndarray:
-        """Map to plain Euclidean coordinates: (head, tail / scale)."""
-        return np.append(self.head, self.tail / self.scale)
-
-    @classmethod
-    def from_phi(cls, arr, scale: float) -> "LiftedVec":
-        arr = as_vector(arr)
-        return cls(arr[:-1], arr[-1] * scale, scale)
-
-
-def _check_compatible(u: LiftedVec, v: LiftedVec) -> None:
-    if abs(u.scale - v.scale) > ABS_TOL:
-        raise ValueError(f"mismatched scales: {u.scale} vs {v.scale}")
-    if u.dim != v.dim:
-        raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
-
-
-def rnorm(v: LiftedVec) -> float:
-    """Lifted norm sqrt(||head||^2 + tail^2 / scale^2)."""
-    return float(np.hypot(np.linalg.norm(v.head), v.tail / v.scale))
-
-
-def rinner(u: LiftedVec, v: LiftedVec) -> float:
-    """Lifted pairing <u, v> = <heads> + tails / scale.
-
-    Not the inner product inducing rnorm; it satisfies the one-sided
-    Cauchy-Schwarz bound rinner(u, v) <= rnorm(u) * ||(v.head, v.tail)||.
-    """
-    _check_compatible(u, v)
-    return float(u.head @ v.head) + u.tail * v.tail / u.scale
-
-
-def min_rnorm_on_segment(u: LiftedVec, v: LiftedVec) -> tuple[LiftedVec, float]:
-    """Minimize rnorm over the segment [u, v].
-
-    Works by mapping through phi (where rnorm is Euclidean), projecting the
-    origin onto the mapped segment, and mapping back.
-    """
-    _check_compatible(u, v)
-    pu = u.phi()
-    pv = v.phi()
-    point, lam = project_point_to_segment(pu, pv, np.zeros_like(pu))
-    return LiftedVec.from_phi(point, u.scale), lam
-
-
-def dist_to_shifted_orthant(f, q) -> tuple[float, np.ndarray]:
-    """Distance from f to the set q - R^n_+ along with the closest point.
-
-    The witness is the component-wise minimum of f and q.
-    """
-    f = as_vector(f)
-    q = as_vector(q)
-    _check_same_dim(f, q)
-    witness = np.minimum(f, q)
-    return float(np.linalg.norm(f - witness)), witness
-
-
 def min_piecewise_quadratic_on_segment(f, u, v) -> tuple[np.ndarray, float]:
-    """Minimize lam -> dist_to_shifted_orthant(f, u + lam*(v-u)) over [0, 1].
+    """Minimize lam -> dist(f, p - R^n_+) over [0, 1], where p = u + lam*(v-u).
 
-    The objective is piecewise quadratic with at most n + 1 pieces, split at
+    The point of p - R^n_+ closest to f is the component-wise minimum of f
+    and p.  The objective is piecewise quadratic with at most n + 1 pieces, split at
     the points where a coordinate of the segment crosses f.  Ties resolve to
     the smallest lam.  Returns (segment point, lam).
     """

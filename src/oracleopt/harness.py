@@ -25,11 +25,14 @@ from .trace import CapOnly, GapStop, LPStop, RunResult, StopRule
 
 ENV_PREFIX = "ORACLEOPT_"
 
-PROBLEMS = ("matching", "stableset", "synthetic-ball", "synthetic-polytope")
-METHODS = ("polar", "general", "cutloop")
-INITS = ("standard", "optimal")
-PRESETS = ("upper_bound", "basic")
-STOPS = ("auto", "lp1pct", "gap", "cap")
+# Allowed values of the config keys that take one of a fixed set.
+CHOICES = {
+    "problem": ("matching", "stableset", "synthetic-ball", "synthetic-polytope"),
+    "method": ("polar", "general", "cutloop"),
+    "init": ("standard", "optimal"),
+    "initial_constraints": ("upper_bound", "basic"),
+    "stop": ("auto", "lp1pct", "gap", "cap"),
+}
 
 
 @dataclass
@@ -55,35 +58,16 @@ class ExperimentConfig:
     graph_file: str = ""
 
     def validate(self) -> None:
-        if self.problem not in PROBLEMS:
-            raise ValueError(f"unknown problem {self.problem!r}")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.init not in INITS:
-            raise ValueError(f"unknown initialization {self.init!r}")
-        if self.initial_constraints not in PRESETS:
-            raise ValueError(f"unknown constraint preset {self.initial_constraints!r}")
-        if self.stop not in STOPS:
-            raise ValueError(f"unknown stop rule {self.stop!r}")
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"unknown {name.replace('_', ' ')} {value!r}")
         if self.frequency < 0:
             raise ValueError("frequency must be >= 0")
         if self.iters < 1:
             raise ValueError("iteration cap must be positive")
         if self.lp_check_every < 1:
             raise ValueError("lp_check_every must be >= 1")
-
-
-_BOOLISH = {"true": True, "false": False}
-
-
-def _coerce(name: str, raw: str, current):
-    if isinstance(current, bool):
-        return _BOOLISH[raw.lower()]
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    return raw
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -99,7 +83,7 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         nonlocal config
         if name not in known:
             raise ValueError(f"unknown config key {name!r} ({source})")
-        config = replace(config, **{name: _coerce(name, raw, known[name])})
+        config = replace(config, **{name: type(known[name])(raw)})
 
     if path:
         with open(path, encoding="utf-8") as fh:
@@ -213,19 +197,6 @@ def _load_graph(config: ExperimentConfig) -> comb.Graph:
     return comb.random_gnp(config.nodes, config.density, config.seed)
 
 
-def _resolve_stop(config: ExperimentConfig, instance: Instance) -> StopRule:
-    kind = config.stop
-    if kind == "auto":
-        kind = "lp1pct" if config.problem in ("matching", "stableset") else "gap"
-    if kind == "lp1pct":
-        if instance.opt_ref is None:
-            raise ValueError("the 1% LP rule needs a computable reference optimum")
-        return LPStop(opt_ref=instance.opt_ref, every=config.lp_check_every)
-    if kind == "gap":
-        return GapStop(rel=config.epsilon)
-    return CapOnly()
-
-
 def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optional[str]]:
     """Execute one configured run; returns its summary and the trace path."""
     config.validate()
@@ -234,10 +205,14 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
         stop_kind = "lp1pct" if config.problem in ("matching", "stableset") else "gap"
     need_opt = config.init == "optimal" or stop_kind == "lp1pct"
     instance = build_instance(config, need_opt)
-    if config.init == "optimal" and instance.opt_ref is None:
-        raise ValueError("optimal initialization needs a computable reference optimum")
-    stop = _resolve_stop(replace(config, stop=stop_kind), instance)
-    lp_context = LPStopContext(rows=instance.initial_rows, lb=instance.lb, ub=instance.ub)
+    if need_opt and instance.opt_ref is None:
+        raise ValueError("this run needs a computable reference optimum")
+    if stop_kind == "lp1pct":
+        stop: StopRule = LPStop(opt_ref=instance.opt_ref, every=config.lp_check_every)
+    elif stop_kind == "gap":
+        stop = GapStop(rel=config.epsilon)
+    else:
+        stop = CapOnly()
 
     if config.method == "cutloop":
         result = cut_loop(
@@ -249,26 +224,14 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
             stop=stop,
             max_iters=config.iters,
         )
-        iterations = len(result.cuts)
-        summary = ExperimentSummary(
-            problem=config.problem,
-            method=config.method,
-            frequency=config.frequency,
-            init=config.init,
-            initial_constraints=config.initial_constraints,
-            seed=config.seed,
-            iterations=iterations,
-            gamma=result.value,
-            bound=result.value,
-            converged=result.converged,
-        )
-        trace = result.trace
+        iterations, gamma, bound = len(result.cuts), result.value, result.value
     else:
         strategy = (
             corr.segment_only()
             if config.frequency == 0
             else corr.fully_corrective(config.frequency)
         )
+        lp_context = LPStopContext(rows=instance.initial_rows, lb=instance.lb, ub=instance.ub)
         if config.method == "polar":
             gamma1 = instance.opt_ref if config.init == "optimal" else instance.gamma_standard
             result: RunResult = run_polar(
@@ -294,19 +257,19 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
                 ],
                 lp_context=lp_context,
             )
-        summary = ExperimentSummary(
-            problem=config.problem,
-            method=config.method,
-            frequency=config.frequency,
-            init=config.init,
-            initial_constraints=config.initial_constraints,
-            seed=config.seed,
-            iterations=result.iterations,
-            gamma=result.gamma,
-            bound=result.bound,
-            converged=result.converged,
-        )
-        trace = result.trace
+        iterations, gamma, bound = result.iterations, result.gamma, result.bound
+    summary = ExperimentSummary(
+        problem=config.problem,
+        method=config.method,
+        frequency=config.frequency,
+        init=config.init,
+        initial_constraints=config.initial_constraints,
+        seed=config.seed,
+        iterations=iterations,
+        gamma=gamma,
+        bound=bound,
+        converged=result.converged,
+    )
 
     trace_path = None
     if config.out:
@@ -314,7 +277,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
         trace_path = os.path.join(
             config.out, f"{config.problem}_{config.method}_{config.seed}.csv"
         )
-        trace.write_csv(trace_path)
+        result.trace.write_csv(trace_path)
     return summary, trace_path
 
 

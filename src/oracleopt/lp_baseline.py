@@ -55,7 +55,6 @@ class LinearProgram:
 class LPResult:
     x: np.ndarray
     value: float
-    basis: list[str]
 
 
 def solve_lp(lp: LinearProgram) -> LPResult:
@@ -69,7 +68,6 @@ def solve_lp(lp: LinearProgram) -> LPResult:
 
     # Column layout: one column per variable, plus a mirror column for each
     # free variable (x = x+ - x-).
-    col_of_var = list(range(n))
     mirror_of_var = {}
     ncols = n
     for j in range(n):
@@ -98,9 +96,7 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     x = x_full[:n].copy()
     for j, mcol in mirror_of_var.items():
         x[j] -= x_full[mcol]
-    value = float(lp.objective @ x)
-    basis = [f"x{j}" for j in range(n) if abs(x[j]) > _PIVOT_TOL]
-    return LPResult(x, value, basis)
+    return LPResult(x, float(lp.objective @ x))
 
 
 def _simplex(c: np.ndarray, le_rows, eq_rows, ncols: int) -> np.ndarray:
@@ -233,6 +229,9 @@ class LPStopContext:
     rows: list[Constraint]
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
+
+    def value(self, c, separated) -> float:
+        return lp_stop_bound(self.rows, separated, c, lb=self.lb, ub=self.ub)
 
 
 @dataclass

@@ -27,10 +27,10 @@ import numpy as np
 
 from . import corrective as corr
 from .certificates import build_general_certificate
-from .geometry import LiftedVec, as_vector, project_point_to_segment
-from .lp_baseline import LPStopContext, lp_stop_bound
+from .geometry import as_vector, project_point_to_segment
+from .lp_baseline import LPStopContext
 from .oracle import Constraint, ConstraintForm, Inside, SeparationOracle, normalize_unit
-from .trace import CapOnly, ConvergenceTrace, RunResult, StopRule, TraceRow
+from .trace import CapOnly, RunResult, StopRule, drive
 
 # Below this, the candidate extraction divides by a vanishing coefficient;
 # the branch that shortens toward the ball row is valid whenever it is <= 0.
@@ -44,18 +44,6 @@ class StepKind(Enum):
     SHRINK_TARGET = "shrink_target"
     PRIMAL_IMPROVE = "primal"
     DUAL_CUT = "cut"
-
-
-def extract_candidate(p: LiftedVec, R: float) -> tuple[float, Optional[np.ndarray]]:
-    """Split a lifted iterate into its scale alpha and candidate direction.
-
-    alpha is the tail coordinate over R; when it is positive the head
-    encodes -alpha times the candidate.  Returns (alpha, None) otherwise.
-    """
-    alpha = p.tail / R
-    if alpha <= ALPHA_TOL:
-        return alpha, None
-    return alpha, -p.head / alpha
 
 
 @dataclass
@@ -90,21 +78,16 @@ class GeneralState:
     def target_lifted(self) -> np.ndarray:
         return np.append(self.c_unit, self.gamma)
 
-    def p_lifted(self) -> LiftedVec:
-        """The gap vector as a caller-unit lifted vector."""
-        return LiftedVec(self.gap_vec[:-1], self.gap_vec[-1] * self.R, self.R)
 
-
-def general_dual_bound(state: GeneralState, R: Optional[float] = None) -> Optional[float]:
+def general_dual_bound(state: GeneralState) -> Optional[float]:
     """Upper bound gamma + (2R / lam) * ||p|| on the optimum, in caller units.
 
     None while the target carries no weight; the bound degrades as 1 / lam
     so tiny weights certify nothing useful.
     """
-    R = state.R if R is None else R
     if state.lam < 1e-9:
         return None
-    return state.gamma_out + (2.0 * R / state.lam) * state.cnorm * state.rnorm_gap
+    return state.gamma_out + (2.0 * state.R / state.lam) * state.cnorm * state.rnorm_gap
 
 
 def _ingest_cut(state: GeneralState, cons: Constraint) -> int:
@@ -279,49 +262,27 @@ def run_general(
     state.cuts.clear()  # initial rows are not separated cuts
 
     trivial_bound = cnorm * R  # max of <c, x> over the enclosing ball
-    trace = ConvergenceTrace()
-    converged = False
-    if stop.lp_due(0):
-        if lp_context is None:
-            raise ValueError("this stop rule needs an LP context")
-        lp0 = lp_stop_bound(lp_context.rows, [], c, lb=lp_context.lb, ub=lp_context.ub)
-        converged = stop.satisfied(gamma=state.gamma_out, bound=trivial_bound, lp_value=lp0)
-    for t in range(1, max_iters + 1):
-        if converged:
-            break
-        kind = general_step(state, oracle, strategy, check=check)
-        bound = general_dual_bound(state)
-        bound_col = trivial_bound if bound is None else min(bound, trivial_bound)
-        lp_value = None
-        if stop.lp_due(t):
-            if lp_context is None:
-                raise ValueError("this stop rule needs an LP context")
-            lp_value = lp_stop_bound(
-                lp_context.rows, state.cuts, c, lb=lp_context.lb, ub=lp_context.ub
-            )
-        trace.append(
-            TraceRow(
-                t=t,
-                step=kind.value,
-                gamma=state.gamma_out,
-                bound=bound_col,
-                residual=state.rnorm_gap,
-                oracle_calls=state.oracle_calls,
-                lp_bound=lp_value,
-            )
-        )
-        if stop.satisfied(gamma=state.gamma_out, bound=bound_col, lp_value=lp_value):
-            converged = True
-            break
 
+    def bound() -> float:
+        value = general_dual_bound(state)
+        return trivial_bound if value is None else min(value, trivial_bound)
+
+    trace, converged = drive(
+        lambda: general_step(state, oracle, strategy, check=check).value,
+        lambda: (state.gamma_out, bound(), state.rnorm_gap, state.oracle_calls),
+        stop,
+        max_iters,
+        lp_context,
+        c,
+        state.cuts,
+    )
     certificate = None
     if state.lam > 1e-9:
         certificate = build_general_certificate(state, R)
-    final_bound = general_dual_bound(state)
     return RunResult(
         incumbent=state.incumbent,
         gamma=state.gamma_out,
-        bound=trivial_bound if final_bound is None else min(final_bound, trivial_bound),
+        bound=bound(),
         certificate=certificate,
         trace=trace,
         converged=converged,

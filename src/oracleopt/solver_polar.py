@@ -25,9 +25,9 @@ import numpy as np
 from . import corrective as corr
 from .certificates import build_polar_certificate
 from .geometry import as_vector, project_point_to_segment
-from .lp_baseline import LPStopContext, lp_stop_bound
+from .lp_baseline import LPStopContext
 from .oracle import Constraint, ConstraintForm, Inside, SeparationOracle, normalize_polar
-from .trace import CapOnly, ConvergenceTrace, RunResult, StopRule, TraceRow
+from .trace import CapOnly, RunResult, StopRule, drive
 
 # Threshold under which the separating direction is considered degenerate
 # and the aggregate is shortened instead; the algorithm's own rule is <= 0,
@@ -292,74 +292,38 @@ def run_polar(
         raise ValueError("initial objective value must be positive")
 
     dim = c.shape[0]
-    atoms = [Constraint(np.zeros(dim), 1.0, ConstraintForm.POLAR, "zero")]
-    for cons in initial_constraints:
-        if cons.form is not ConstraintForm.POLAR:
-            cons = normalize_polar(cons.a, cons.b, name=cons.name)
-        if mode is PolarMode.PACKING and np.any(cons.a < 0):
-            cons = Constraint(np.maximum(cons.a, 0.0), 1.0, ConstraintForm.POLAR, cons.name)
-        atoms.append(cons)
-    weights = np.zeros(len(atoms))
-    weights[0] = 1.0
-    atom_index = {cons.name: i for i, cons in enumerate(atoms) if cons.name}
-
     state = PolarState(
         t=0,
         gamma=float(gamma1),
         c=c,
         target=c / gamma1,
         aggregate=np.zeros(dim),
-        atoms=atoms,
-        weights=weights,
+        atoms=[Constraint(np.zeros(dim), 1.0, ConstraintForm.POLAR, "zero")],
+        weights=np.array([1.0]),
         mode=mode,
         shadow=np.zeros(dim) if mode is PolarMode.PACKING else None,
         oracle_calls=init_calls,
         incumbent=incumbent0,
-        atom_index=atom_index,
+        atom_index={"zero": 0},
     )
+    for cons in initial_constraints:
+        _ingest_cut(state, cons)
+    state.cuts.clear()  # initial rows are not separated cuts
 
-    trace = ConvergenceTrace()
-    converged = False
-    if stop.lp_due(0):
-        # The shared criterion may already hold on the initial rows alone,
-        # in which case the run costs zero iterations, like the cut loop.
-        if lp_context is None:
-            raise ValueError("this stop rule needs an LP context")
-        lp0 = lp_stop_bound(lp_context.rows, [], c, lb=lp_context.lb, ub=lp_context.ub)
-        converged = stop.satisfied(gamma=state.gamma, bound=dual_bound(state, R), lp_value=lp0)
-    for t in range(1, max_iters + 1):
-        if converged:
-            break
-        kind = polar_step(state, oracle, strategy, check=check)
-        bound = dual_bound(state, R)
-        lp_value = None
-        if stop.lp_due(t):
-            if lp_context is None:
-                raise ValueError("this stop rule needs an LP context")
-            lp_value = lp_stop_bound(
-                lp_context.rows, state.cuts, c, lb=lp_context.lb, ub=lp_context.ub
-            )
-        trace.append(
-            TraceRow(
-                t=t,
-                step=kind.value,
-                gamma=state.gamma,
-                bound=bound,
-                residual=state.residual,
-                oracle_calls=state.oracle_calls,
-                lp_bound=lp_value,
-            )
-        )
-        if stop.satisfied(gamma=state.gamma, bound=bound, lp_value=lp_value):
-            converged = True
-            break
-
-    certificate = build_polar_certificate(state, R)
+    trace, converged = drive(
+        lambda: polar_step(state, oracle, strategy, check=check).value,
+        lambda: (state.gamma, dual_bound(state, R), state.residual, state.oracle_calls),
+        stop,
+        max_iters,
+        lp_context,
+        c,
+        state.cuts,
+    )
     return RunResult(
         incumbent=state.incumbent,
         gamma=state.gamma,
         bound=dual_bound(state, R),
-        certificate=certificate,
+        certificate=build_polar_certificate(state, R),
         trace=trace,
         converged=converged,
         iterations=state.t,

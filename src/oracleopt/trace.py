@@ -103,6 +103,40 @@ class LPStop(StopRule):
         return lp_value <= self.factor * self.opt_ref + 1e-9
 
 
+def drive(step, observe, stop: StopRule, max_iters: int, lp_context, c, cuts):
+    """Run a solver's iterations until the stop rule fires or the cap hits.
+
+    step() advances the solver by one iteration and returns the label of the
+    branch that fired; observe() returns (gamma, bound, residual,
+    oracle_calls) for the current iterate.  The LP over lp_context's rows
+    plus `cuts` (the solver's growing list of separated rows) is solved
+    wherever the stop rule asks for it.  Returns (trace, converged).
+    """
+
+    def lp_value(t: int) -> Optional[float]:
+        if not stop.lp_due(t):
+            return None
+        if lp_context is None:
+            raise ValueError("this stop rule needs an LP context")
+        return lp_context.value(c, cuts)
+
+    trace = ConvergenceTrace()
+    if stop.lp_due(0):
+        # The shared criterion may already hold on the initial rows alone,
+        # in which case the run costs zero iterations, like the cut loop.
+        gamma, bound, _, _ = observe()
+        if stop.satisfied(gamma=gamma, bound=bound, lp_value=lp_value(0)):
+            return trace, True
+    for t in range(1, max_iters + 1):
+        kind = step()
+        gamma, bound, residual, oracle_calls = observe()
+        lp_bound = lp_value(t)
+        trace.append(TraceRow(t, kind, gamma, bound, residual, oracle_calls, lp_bound))
+        if stop.satisfied(gamma=gamma, bound=bound, lp_value=lp_bound):
+            return trace, True
+    return trace, False
+
+
 @dataclass
 class RunResult:
     """Outcome of a solver run: primal point, value, certificate, trace."""

@@ -1,13 +1,19 @@
+import argparse
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 
 from oracleopt.certificates import certificate_to_text
-from oracleopt.cli import main
+from oracleopt.cli import _build_parser, _row_matches_instance, main
 from oracleopt.combinatorial import (
     MatchingOracle,
     matching_initial_rows,
     parse_dimacs,
 )
+from oracleopt.harness import CHOICES, ExperimentConfig
 from oracleopt.lp_baseline import LPStopContext
+from oracleopt.oracle import Constraint
 from oracleopt.solver_polar import PolarMode, run_polar
 from oracleopt.trace import LPStop
 
@@ -100,3 +106,29 @@ def test_verify_round_trip_with_instance(tmp_path):
     ]
     cert_path.write_text("\n".join(lines) + "\n")
     assert main(["verify", "--certificate", str(cert_path)]) == 1
+
+
+def test_run_flags_mirror_config_fields():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in sub.choices["run"]._actions}
+    for f in fields(ExperimentConfig):
+        assert f.name in flags, f.name
+        assert flags[f.name].choices == CHOICES.get(f.name), f.name
+    assert "--graph" in flags["graph_file"].option_strings
+
+
+def test_run_lp_check_every_flag(tmp_path):
+    argv = ["run", "--problem", "matching", "--method", "polar", "--frequency", "0",
+            "--nodes", "15", "--triangles", "11", "--seed", "1", "--max-set-size", "15",
+            "--lp-check-every", "3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    golden = Path(__file__).parent / "golden" / "matching_polar_lp_every3.csv"
+    assert (tmp_path / "matching_polar_1.csv").read_bytes() == golden.read_bytes()
+
+
+def test_verify_accepts_nonneg_rows():
+    graph = parse_dimacs("p edge 3 2\ne 1 2\ne 2 3\n")
+    row = Constraint(np.array([0.0, -1.0]), 0.0, name="nonneg:1")
+    assert _row_matches_instance(row.name, row, graph, "matching")
+    flipped = Constraint(np.array([0.0, 1.0]), 0.0, name="nonneg:1")
+    assert not _row_matches_instance(flipped.name, flipped, graph, "matching")

@@ -239,11 +239,16 @@ class TestOracles:
             assert isinstance(oracle.separate(x), Inside)
 
     def test_negative_queries_rejected(self):
-        oracle = MatchingOracle(K3, max_set_size=3)
-        with pytest.raises(ValueError):
-            oracle.separate([-1.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            StableSetOracle(K3).separate([-1.0, 0.0, 0.0])
+        # A query outside the orthant is cut off by -x_j <= 0 for its most
+        # negative coordinate; the usual tolerance still applies.
+        for oracle in (MatchingOracle(K3, max_set_size=3), StableSetOracle(K3)):
+            res = oracle.separate([0.2, -1.0, -0.5])
+            assert isinstance(res, Violated)
+            assert res.constraint.name == "nonneg:1"
+            assert np.array_equal(res.constraint.a, [0.0, -1.0, 0.0])
+            assert res.constraint.b == 0.0
+            assert res.violation == pytest.approx(1.0)
+            assert isinstance(oracle.separate([-1e-8, 0.0, 0.0]), Inside)
 
     def test_initial_row_presets(self):
         g = K3

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from oracleopt.corrective import (
-    fully_corrective_update,
     min_norm_point,
     nonneg_corrective_update,
     partially_corrective_update,
     sparsify,
 )
-from oracleopt.geometry import dist_to_shifted_orthant, project_point_to_segment
+from oracleopt.geometry import project_point_to_segment
 
 
 def pgd_projection(target, atoms, steps=100_000):
@@ -87,11 +86,11 @@ class TestMinNormPoint:
 
 class TestCorrectiveUpdates:
     def test_single_atom(self):
-        res = fully_corrective_update([5.0, 5.0], [[0.0, 0.0]])
+        res = min_norm_point([5.0, 5.0], [[0.0, 0.0]])
         assert np.allclose(res.point, [0.0, 0.0])
 
     def test_two_atoms_at_origin_target(self):
-        res = fully_corrective_update([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        res = min_norm_point([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
         assert np.allclose(res.point, [0.5, 0.5])
 
     def test_beats_segment_projection_midrun(self):
@@ -101,7 +100,7 @@ class TestCorrectiveUpdates:
         q = weights @ atoms
         f = rng.normal(size=5)
         seg, _ = project_point_to_segment(atoms[-1], q, f)
-        res = fully_corrective_update(f, atoms)
+        res = min_norm_point(f, atoms)
         assert np.linalg.norm(f - res.point) <= np.linalg.norm(f - seg) + 1e-9
 
     def test_partial_with_two_atoms_equals_segment(self):
@@ -118,7 +117,7 @@ class TestCorrectiveUpdates:
         weights = _project_simplex(rng.uniform(size=6))
         f = rng.normal(size=3)
         part = partially_corrective_update(f, atoms, weights, last_index=5, cap=6)
-        full = fully_corrective_update(f, atoms)
+        full = min_norm_point(f, atoms)
         assert np.linalg.norm(f - part.point) == pytest.approx(
             np.linalg.norm(f - full.point), abs=1e-8
         )
@@ -131,7 +130,7 @@ class TestCorrectiveUpdates:
         f = rng.normal(size=4)
         seg, _ = project_point_to_segment(atoms[-1], q, f)
         capped = partially_corrective_update(f, atoms, weights, last_index=9, cap=4)
-        full = fully_corrective_update(f, atoms)
+        full = min_norm_point(f, atoms)
         d_seg = np.linalg.norm(f - seg)
         d_cap = np.linalg.norm(f - capped.point)
         d_full = np.linalg.norm(f - full.point)
@@ -196,7 +195,7 @@ class TestNonnegCorrectiveUpdate:
         q = np.array([2.0, 3.0])
         q_new, lam = nonneg_corrective_update(f, q, np.array([5.0, 4.0]))
         assert lam == 0.0
-        dist, _ = dist_to_shifted_orthant(f, q_new)
+        dist = np.linalg.norm(f - np.minimum(f, q_new))
         assert dist == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(q_new, f)
 

@@ -3,15 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracleopt.geometry import (
-    LiftedVec,
-    dist_to_shifted_orthant,
-    min_piecewise_quadratic_on_segment,
-    min_rnorm_on_segment,
-    project_point_to_segment,
-    rinner,
-    rnorm,
-)
+from oracleopt.geometry import min_piecewise_quadratic_on_segment, project_point_to_segment
 
 
 class TestProjectPointToSegment:
@@ -83,101 +75,6 @@ class TestProjectPointToSegment:
         t = len(d)
         if t >= 2 and d[-1] > 0:
             assert 1.0 / d[-1] >= 1.0 / d[0] + (t - 1) * eta - 1e-9
-
-
-class TestLiftedNorm:
-    @pytest.mark.parametrize("scale", [0.25, 1.0, 2.0, 17.5])
-    def test_ball_row_has_unit_norm(self, scale):
-        assert rnorm(LiftedVec([0.0, 0.0], scale, scale)) == pytest.approx(1.0)
-
-    def test_unit_head_pairing(self):
-        e1 = LiftedVec([1.0, 0.0], 0.0, 3.0)
-        assert rinner(e1, e1) == pytest.approx(1.0)
-
-    def test_head_plus_full_tail(self):
-        v = LiftedVec([1.0, 0.0], 2.0, 2.0)
-        assert rnorm(v) == pytest.approx(np.sqrt(2.0))
-
-    def test_mismatched_scales_rejected(self):
-        u = LiftedVec([1.0], 0.0, 1.0)
-        v = LiftedVec([1.0], 0.0, 2.0)
-        with pytest.raises(ValueError):
-            rinner(u, v)
-        with pytest.raises(ValueError):
-            min_rnorm_on_segment(u, v)
-
-    def test_norm_matches_mapped_euclidean_norm(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            dim = int(rng.integers(1, 6))
-            scale = float(rng.uniform(0.1, 5.0))
-            v = LiftedVec(rng.normal(size=dim), float(rng.normal()), scale)
-            assert rnorm(v) == pytest.approx(float(np.linalg.norm(v.phi())), abs=1e-12)
-
-    def test_one_sided_cauchy_schwarz(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            dim = int(rng.integers(1, 6))
-            scale = float(rng.uniform(0.1, 5.0))
-            u = LiftedVec(rng.normal(size=dim), float(rng.normal()), scale)
-            v = LiftedVec(rng.normal(size=dim), float(rng.normal()), scale)
-            plain = float(np.hypot(np.linalg.norm(v.head), v.tail))
-            assert rinner(u, v) <= rnorm(u) * plain + 1e-12
-
-
-class TestMinRnormOnSegment:
-    def test_symmetric_segment_through_origin(self):
-        u = LiftedVec([1.0, 0.0], 0.0, 1.5)
-        v = LiftedVec([-1.0, 0.0], 0.0, 1.5)
-        point, lam = min_rnorm_on_segment(u, v)
-        assert np.allclose(point.head, 0.0)
-        assert point.tail == pytest.approx(0.0)
-        assert lam == pytest.approx(0.5)
-
-    def test_equal_endpoints(self):
-        u = LiftedVec([1.0, 2.0], 3.0, 2.0)
-        point, lam = min_rnorm_on_segment(u, u)
-        assert lam == 0.0
-        assert np.allclose(point.head, u.head)
-
-    def test_matches_grid_search(self):
-        scale = 2.0
-        u = LiftedVec([1.0, 0.0], scale, scale)
-        v = LiftedVec([0.0, 0.0], scale, scale)
-        point, lam = min_rnorm_on_segment(u, v)
-        grid = np.linspace(0.0, 1.0, 1_000_001)
-        pu, pv = u.phi(), v.phi()
-        norms = np.linalg.norm(pu[None, :] + grid[:, None] * (pv - pu)[None, :], axis=1)
-        best = int(np.argmin(norms))
-        assert lam == pytest.approx(grid[best], abs=1e-6)
-        assert rnorm(point) == pytest.approx(float(norms[best]), abs=1e-9)
-
-    def test_commutes_with_phi_map(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            dim = int(rng.integers(1, 5))
-            scale = float(rng.uniform(0.2, 4.0))
-            u = LiftedVec(rng.normal(size=dim), float(rng.normal()), scale)
-            v = LiftedVec(rng.normal(size=dim), float(rng.normal()), scale)
-            point, _ = min_rnorm_on_segment(u, v)
-            direct, _ = project_point_to_segment(u.phi(), v.phi(), np.zeros(dim + 1))
-            assert abs(rnorm(point) - float(np.linalg.norm(direct))) <= 1e-12
-
-
-class TestDistToShiftedOrthant:
-    @pytest.mark.parametrize(
-        "f,q,dist,witness",
-        [
-            ([1, 1], [2, 2], 0.0, [1, 1]),
-            ([1, 1], [0, 3], 1.0, [0, 1]),
-            ([2, 0, 1], [1, 1, 1], 1.0, [1, 0, 1]),
-        ],
-    )
-    def test_examples(self, f, q, dist, witness):
-        got_dist, got_witness = dist_to_shifted_orthant(f, q)
-        assert got_dist == pytest.approx(dist)
-        assert np.allclose(got_witness, witness)
-        assert np.all(got_witness <= np.asarray(q) + 1e-15)
 
 
 class TestMinPiecewiseQuadratic:

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
+from oracleopt.certificates import verify_certificate
+from oracleopt.corrective import fully_corrective
 from oracleopt.harness import (
     ExperimentSummary,
+    build_instance,
     emit_table,
     load_config,
     run_experiment,
 )
+from oracleopt.lp_baseline import LPStopContext
+from oracleopt.solver_general import run_general
+from oracleopt.trace import LPStop
 
 
 def summary(**kw):
@@ -104,6 +110,34 @@ class TestRunExperiment:
         summary_row, _ = run_experiment(config)
         assert summary_row.converged
         assert summary_row.bound <= 1.08 * summary_row.gamma + 1e-9
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"problem": "matching", "frequency": 1, "nodes": 15, "triangles": 10, "seed": 0,
+             "max_set_size": 15},
+            {"problem": "stableset", "nodes": 14, "density": 0.55, "seed": 1},
+        ],
+    )
+    def test_general_method_cuts_queries_outside_the_orthant(self, overrides):
+        # The general solver may query points with negative coordinates; the
+        # packing oracles answer them with a nonnegativity row.
+        config = load_config(None, dict(overrides, method="general", out=""))
+        summary_row, _ = run_experiment(config)
+        assert summary_row.converged
+        instance = build_instance(config, need_opt=True)
+        res = run_general(
+            instance.oracle,
+            instance.c,
+            stop=LPStop(opt_ref=instance.opt_ref),
+            strategy=fully_corrective(1) if config.frequency else None,
+            initial_constraints=instance.initial_rows,
+            lp_context=LPStopContext(instance.initial_rows, instance.lb, instance.ub),
+        )
+        assert res.iterations == summary_row.iterations
+        assert any(cut.name.startswith("nonneg:") for cut in res.state.cuts)
+        history = res.state.atoms
+        assert verify_certificate(res.certificate, constraint_history=history).passed
 
     def test_identical_seed_gives_identical_trace_bytes(self, tmp_path):
         overrides = {

@@ -5,32 +5,13 @@ import pytest
 
 from oracleopt.certificates import verify_certificate
 from oracleopt.corrective import fully_corrective
-from oracleopt.geometry import LiftedVec
 from oracleopt.oracle import BallOracle, Constraint, PolytopeOracle
 from oracleopt.solver_general import (
-    extract_candidate,
     general_dual_bound,
     general_step,
     run_general,
 )
 from oracleopt.trace import CapOnly, GapStop
-
-
-class TestExtractCandidate:
-    def test_initial_ball_row(self):
-        alpha, x = extract_candidate(LiftedVec([0.0, 0.0], 3.0, 3.0), R=3.0)
-        assert alpha == pytest.approx(1.0)
-        assert np.allclose(x, [0.0, 0.0])
-
-    def test_scaled_head(self):
-        alpha, x = extract_candidate(LiftedVec([-2.0, 0.0], 6.0, 3.0), R=3.0)
-        assert alpha == pytest.approx(2.0)
-        assert np.allclose(x, [1.0, 0.0])
-
-    def test_nonpositive_scale_gives_no_candidate(self):
-        alpha, x = extract_candidate(LiftedVec([1.0, 0.0], -3.0, 3.0), R=3.0)
-        assert alpha == pytest.approx(-1.0)
-        assert x is None
 
 
 class TestGeneralStep:
@@ -187,11 +168,3 @@ class TestRunGeneral:
         ingested = res.state.atoms[1]
         assert ingested.b == pytest.approx(1.0)
         assert np.linalg.norm(ingested.a) == pytest.approx(1.0)
-
-    def test_lifted_view_matches_candidate_extraction(self):
-        oracle = BallOracle([0.4, 0.1], 0.3)
-        res = run_general(oracle, [1.0, 2.0], R=1.0, stop=CapOnly(), max_iters=37)
-        state = res.state
-        lifted = state.p_lifted()
-        alpha, _ = extract_candidate(lifted, R=state.R)
-        assert alpha == pytest.approx(float(state.gap_vec[-1]), abs=1e-12)
