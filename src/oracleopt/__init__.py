@@ -57,5 +57,6 @@ from .solver_polar import (
     run_polar,
 )
 from .trace import CapOnly, ConvergenceTrace, GapStop, LPStop, RunResult, StopRule, TraceRow
+from .trace import InvariantError
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -142,7 +142,7 @@ def build_general_certificate(state, R: float) -> DualCertificate:
     aggregation reproduces the claimed bound exactly.
     """
     lam = state.lam
-    if lam <= 1e-9:
+    if lam < 1e-9:
         raise CertificateUnavailableError("no certificate yet: target weight is zero")
     cnorm = state.cnorm
     gap = state.gap_vec
@@ -176,6 +176,23 @@ def build_general_certificate(state, R: float) -> DualCertificate:
         ball_coefficient=float(ball_coeff),
         claimed_bound=float(claimed),
         gamma=float(gamma_out),
+        R=float(R),
+    )
+
+
+def build_ball_certificate(c, R: float, gamma: float) -> DualCertificate:
+    """The trivial certificate <c, x> <= ||c|| R: the ball row alone, along c."""
+    c = as_vector(c)
+    cnorm = float(np.linalg.norm(c))
+    return DualCertificate(
+        setting="general",
+        objective=c.copy(),
+        rows=[],
+        ball_normal=c / cnorm,
+        ball_rhs=float(R),
+        ball_coefficient=cnorm,
+        claimed_bound=cnorm * float(R),
+        gamma=float(gamma),
         R=float(R),
     )
 

@@ -68,41 +68,23 @@ def _cmd_gen(args) -> int:
 
 
 def _row_matches_instance(name: str, cons, graph: comb.Graph, problem: str) -> bool:
-    """Structural validity of a named certificate row for the given instance."""
-    kind, _, payload = name.partition(":")
-    if kind == "zero":
-        return bool(np.allclose(cons.a, 0.0) and abs(cons.b - 1.0) <= 1e-9)
-    if kind in ("ub", "nonneg"):
-        # ub:j is x_j <= 1 and nonneg:j is -x_j <= 0
-        sign, rhs = (1.0, 1.0) if kind == "ub" else (-1.0, 0.0)
-        dim = graph.n_edges if problem == "matching" else graph.n_nodes
-        e = np.zeros(dim)
-        e[int(payload)] = sign
-        return bool(np.allclose(cons.a, e, atol=1e-9) and abs(cons.b - rhs) <= 1e-9)
-    if kind == "degree" and problem == "matching":
-        ref = comb.degree_constraint(graph, int(payload))
-        return bool(np.allclose(cons.a, ref.a, atol=1e-9) and abs(cons.b - ref.b) <= 1e-9)
-    if kind == "oddset" and problem == "matching":
-        nodes = [int(v) for v in payload.split("|")]
-        if len(nodes) < 3 or len(nodes) % 2 == 0:
-            return False
-        ref = comb.oddset_constraint(graph, nodes)
-        return bool(np.allclose(cons.a, ref.a, atol=1e-9) and abs(cons.b - ref.b) <= 1e-9)
-    if kind == "clique" and problem == "stableset":
-        nodes = [int(v) for v in payload.split("|")]
-        adj = graph.adjacency()
-        if not all(adj[u, v] for u in nodes for v in nodes if u != v):
-            return False
-        ref = comb.clique_constraint(graph, nodes)
-        return bool(np.allclose(cons.a, ref.a, atol=1e-9) and abs(cons.b - ref.b) <= 1e-9)
-    if kind == "edge" and problem == "stableset":
-        u, v = (int(s) for s in payload.split("|"))
-        if (min(u, v), max(u, v)) not in graph.edges:
-            return False
-        ref = np.zeros(graph.n_nodes)
-        ref[u] = ref[v] = 1.0
-        return bool(np.allclose(cons.a, ref, atol=1e-9) and abs(cons.b - 1.0) <= 1e-9)
-    return False
+    """Whether a certificate row is implied by the instance row of its name.
+
+    Implied means a positive multiple of that row (the general solver
+    rescales rows to unit normals) with the same or a larger right-hand
+    side; a zero-normal row (zero, ball0) thus needs only b >= 0.
+    """
+    ref = comb.instance_row(graph, problem, name)
+    if ref is None or ref.a.shape != cons.a.shape:
+        return False
+    norm2 = float(ref.a @ ref.a)
+    scale = float(ref.a @ cons.a) / norm2 if norm2 else 1.0
+    tol = 1e-9 * max(1.0, scale)
+    return bool(
+        scale > 0.0
+        and np.allclose(cons.a, scale * ref.a, rtol=0.0, atol=tol)
+        and cons.b >= scale * ref.b - tol
+    )
 
 
 def _cmd_verify(args) -> int:

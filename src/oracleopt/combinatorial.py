@@ -3,9 +3,10 @@
 Matching uses the degree rows plus the blossom (odd-set) inequalities
 sum_{e in E[U]} x_e <= (|U|-1)/2 for odd U; stable set uses the clique
 relaxation with one row per clique.  Separation is exact at desk scale:
-odd sets by bounded enumeration over the fractional support's connected
-components, cliques by a weighted branch-and-bound with a greedy-coloring
-bound.  Brute-force optima back the shared 1%-of-optimum stopping rule.
+odd sets by enumeration up to a size cap inside each connected component
+of the fractional support, afresh on every call, cliques by a weighted
+branch-and-bound with a greedy-coloring bound.  Brute-force optima back
+the shared 1%-of-optimum stopping rule.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .oracle import (
 log = logging.getLogger(__name__)
 
 _SUPPORT_TOL = 1e-9
-_TABLE_LIMIT = 60_000  # max cached odd subsets before falling back to lazy enumeration
+_BLOCK_ENTRIES = 1 << 22  # matrix entries per odd-set block; bounds memory at 32 MB
 _MATCHING_BRUTE_CAP = 24
 _CLIQUE_BRUTE_CAP = 30
 
@@ -144,44 +144,6 @@ def random_gnp(n_nodes: int, p: float, seed: int) -> Graph:
 # -- odd-set (blossom) separation -----------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _oddset_table(graph: Graph, max_set_size: int):
-    """All odd node subsets of size 3..max_set_size among non-isolated nodes.
-
-    Returns (subsets, incidence matrix over edges, right-hand sides, node
-    membership matrix) in (size, lexicographic) order, or None when the
-    subset count would be unreasonably large.
-    """
-    touched = sorted({u for e in graph.edges for u in e})
-    count = 0
-    for k in range(3, min(max_set_size, len(touched)) + 1, 2):
-        count += _comb(len(touched), k)
-        if count > _TABLE_LIMIT:
-            return None
-    subsets = []
-    for k in range(3, min(max_set_size, len(touched)) + 1, 2):
-        subsets.extend(itertools.combinations(touched, k))
-    if not subsets:
-        return None
-    matrix = np.zeros((len(subsets), graph.n_edges))
-    members = np.zeros((len(subsets), graph.n_nodes), dtype=bool)
-    rhs = np.zeros(len(subsets))
-    node_sets = [frozenset(s) for s in subsets]
-    for row, (subset, nodes) in enumerate(zip(subsets, node_sets)):
-        members[row, list(subset)] = True
-        rhs[row] = (len(subset) - 1) / 2.0
-        for j, (u, v) in enumerate(graph.edges):
-            if u in nodes and v in nodes:
-                matrix[row, j] = 1.0
-    return subsets, matrix, rhs, members
-
-
-def _comb(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k) if n >= k else 0
-
-
 def _support_components(graph: Graph, x: np.ndarray):
     """Connected components of the subgraph of edges with positive weight."""
     parent = list(range(graph.n_nodes))
@@ -213,7 +175,8 @@ def best_violated_oddset(graph: Graph, x, max_set_size: int = 9):
     Returns (violation, node tuple) with the raw violation of the inequality
     as written; (0.0, None) when nothing exceeds zero.  Ties resolve to the
     first subset in (size, lexicographic) order.  The component restriction
-    is lossless whenever the query satisfies the degree constraints.
+    is lossless whenever the query satisfies the degree constraints.  Each
+    odd size of each component is one matrix product over 0/1 edge rows.
     """
     x = as_vector(x)
     if x.shape[0] != graph.n_edges:
@@ -221,46 +184,34 @@ def best_violated_oddset(graph: Graph, x, max_set_size: int = 9):
     if max_set_size < 3:
         raise ValueError("odd sets start at size 3")
     comp, n_comp = _support_components(graph, x)
-    if n_comp == 0:
+    ends = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
+    block_rows = max(1, _BLOCK_ENTRIES // max(1, graph.n_edges))
+    winners = []  # (violation, size, node tuple) of each component and size
+    for cid in range(n_comp):
+        nodes = np.flatnonzero(comp == cid)
+        for size in range(3, min(max_set_size, nodes.size) + 1, 2):
+            subsets = itertools.combinations(nodes.tolist(), size)
+            while True:
+                flat = itertools.chain.from_iterable(itertools.islice(subsets, block_rows))
+                block = np.fromiter(flat, dtype=np.intp).reshape(-1, size)
+                if block.size == 0:
+                    break
+                rows = block.shape[0]
+                # BLAS sums the rows of a row-major matrix in groups of four,
+                # and a ragged tail, or a lone row, in another order; padding
+                # keeps a subset's score independent of its block.
+                member = np.zeros((-(-rows // 4) * 4, graph.n_nodes), dtype=bool)
+                np.put_along_axis(member[:rows], block, True, axis=1)
+                inside = member.take(ends[0], axis=1) & member.take(ends[1], axis=1)
+                matrix = inside.astype(float, order="C")
+                viol = (matrix @ x)[:rows] - (size - 1) / 2.0
+                row = int(np.argmax(viol))
+                if viol[row] > 0.0:
+                    winners.append((float(viol[row]), size, tuple(block[row].tolist())))
+    if not winners:
         return 0.0, None
-
-    table = _oddset_table(graph, max_set_size)
-    if table is not None:
-        subsets, matrix, rhs, members = table
-        comp_lo = np.where(members, comp[None, :], np.inf).min(axis=1)
-        comp_hi = np.where(members, comp[None, :], -np.inf).max(axis=1)
-        ok = (comp_lo >= 0) & (comp_lo == comp_hi)
-        if not ok.any():
-            return 0.0, None
-        viol = matrix @ x - rhs
-        viol[~ok] = -np.inf
-        idx = int(np.argmax(viol))
-        if viol[idx] <= 0.0:
-            return 0.0, None
-        return float(viol[idx]), subsets[idx]
-
-    # Lazy path for graphs too large to tabulate.
-    edge_weight = {e: x[j] for j, e in enumerate(graph.edges) if x[j] > _SUPPORT_TOL}
-    best_viol, best_set = 0.0, None
-    groups: dict[int, list[int]] = {}
-    for v in range(graph.n_nodes):
-        if comp[v] >= 0:
-            groups.setdefault(int(comp[v]), []).append(v)
-    candidates = []
-    for cid in sorted(groups):
-        nodes = sorted(groups[cid])
-        for k in range(3, min(max_set_size, len(nodes)) + 1, 2):
-            candidates.extend(itertools.combinations(nodes, k))
-    candidates.sort(key=lambda s: (len(s), s))
-    for subset in candidates:
-        nodes = set(subset)
-        total = sum(
-            w for (u, v), w in edge_weight.items() if u in nodes and v in nodes
-        )
-        viol = total - (len(subset) - 1) / 2.0
-        if viol > best_viol:
-            best_viol, best_set = viol, subset
-    return best_viol, best_set
+    viol, _, subset = min(winners, key=lambda w: (-w[0], w[1], w[2]))
+    return viol, subset
 
 
 def oddset_constraint(graph: Graph, subset) -> Constraint:
@@ -495,6 +446,41 @@ def stableset_initial_rows(graph: Graph, preset: str) -> list[Constraint]:
     elif preset != "upper_bound":
         raise ValueError(f"unknown constraint preset {preset!r}")
     return rows
+
+
+def instance_row(graph: Graph, problem: str, name: str) -> Constraint | None:
+    """The instance's row behind a certificate row name, or None if it has none.
+
+    Names are those the constructors here give: ub:j and nonneg:j for both
+    problems, degree:v and oddset:U for matching, edge:u|v and clique:C for
+    stable set.  The solvers' trivial rows zero and ball0 map to <0, x> <= 0.
+    """
+    dim = graph.n_edges if problem == "matching" else graph.n_nodes
+    if name in ("zero", "ball0"):
+        return Constraint(np.zeros(dim), 0.0, ConstraintForm.RAW, name)
+    kind, _, payload = name.partition(":")
+    try:
+        nodes = [int(v) for v in payload.split("|")]
+    except ValueError:
+        return None
+    if kind in ("ub", "nonneg") and len(nodes) == 1 and 0 <= nodes[0] < dim:
+        e = np.zeros(dim)
+        e[nodes[0]] = 1.0 if kind == "ub" else -1.0
+        return Constraint(e, 1.0 if kind == "ub" else 0.0, ConstraintForm.RAW, name)
+    if not all(0 <= v < graph.n_nodes for v in nodes):
+        return None
+    if problem == "matching":
+        if kind == "degree" and len(nodes) == 1:
+            return degree_constraint(graph, nodes[0])
+        if kind == "oddset" and len(set(nodes)) == len(nodes) >= 3 and len(nodes) % 2:
+            return oddset_constraint(graph, nodes)
+    elif problem == "stableset":
+        adj = graph.adjacency()
+        if kind == "edge" and len(nodes) == 2 and adj[nodes[0], nodes[1]]:
+            return clique_constraint(graph, nodes)
+        if kind == "clique" and all(adj[u, v] for u in nodes for v in nodes if u != v):
+            return clique_constraint(graph, nodes)
+    return None
 
 
 def separate_nonneg(x: np.ndarray) -> Violated | None:

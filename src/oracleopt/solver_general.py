@@ -26,11 +26,11 @@ from typing import Optional
 import numpy as np
 
 from . import corrective as corr
-from .certificates import build_general_certificate
+from .certificates import build_ball_certificate, build_general_certificate
 from .geometry import as_vector, project_point_to_segment
 from .lp_baseline import LPStopContext
 from .oracle import Constraint, ConstraintForm, Inside, SeparationOracle, normalize_unit
-from .trace import CapOnly, RunResult, StopRule, drive
+from .trace import CapOnly, RunResult, StopRule, drive, require
 
 # Below this, the candidate extraction divides by a vanishing coefficient;
 # the branch that shortens toward the ball row is valid whenever it is <= 0.
@@ -132,7 +132,6 @@ def general_step(
     state: GeneralState,
     oracle: SeparationOracle,
     strategy: corr.UpdateStrategy | None = None,
-    check: bool = True,
 ) -> StepKind:
     """Advance the state by one iteration; returns which branch fired."""
     strategy = strategy or corr.segment_only()
@@ -144,16 +143,14 @@ def general_step(
 
     if candidate is None:
         kind = StepKind.SHRINK_BALL
-        if check:
-            assert float(state.atom_lifted[0] @ state.gap_vec) <= 1e-9
+        require(float(state.atom_lifted[0] @ state.gap_vec) <= 1e-9, "ball row is no descent")
         _segment_to(state, state.atom_lifted[0], 0)
     else:
         value = float(state.c_unit @ candidate)
         if value <= state.gamma:
             kind = StepKind.SHRINK_TARGET
             neg_target = -state.target_lifted()
-            if check:
-                assert float(neg_target @ state.gap_vec) <= 1e-9
+            require(float(neg_target @ state.gap_vec) <= 1e-9, "target is no descent")
             _segment_to(state, neg_target, None)
         else:
             query = state.R * candidate
@@ -162,8 +159,7 @@ def general_step(
             if isinstance(result, Inside):
                 kind = StepKind.PRIMAL_IMPROVE
                 beta = 1.0 + state.lam * (value - state.gamma)
-                if check:
-                    assert beta >= 1.0 - 1e-12
+                require(beta >= 1.0 - 1e-12, "gamma fell")
                 state.gamma = value
                 state.incumbent = query
                 # The pre-projection point is exactly the old gap vector over
@@ -176,15 +172,14 @@ def general_step(
                 ) * state.atom_lifted[0]
                 state.lam /= beta
                 neg_target = -state.target_lifted()
-                if check:
-                    ortho = float(state.gap_vec @ neg_target)
-                    assert abs(ortho) <= 1e-8 * (1.0 + norm_before)
+                ortho = float(state.gap_vec @ neg_target)
+                require(abs(ortho) <= 1e-8 * (1.0 + norm_before), "gap not orthogonal to target")
                 _segment_to(state, neg_target, None)
             else:
                 kind = StepKind.DUAL_CUT
                 idx = _ingest_cut(state, result.constraint)
-                if check:
-                    assert float(state.atom_lifted[idx] @ state.gap_vec) <= 1e-9
+                descent = float(state.atom_lifted[idx] @ state.gap_vec)
+                require(descent <= 1e-9, "the cut is not violated at the query")
                 _segment_to(state, state.atom_lifted[idx], idx)
 
     if strategy.corrective_due(state.t):
@@ -195,11 +190,11 @@ def general_step(
         state.nu = np.maximum(state.nu, 0.0) / total
         state.lam = max(state.lam, 0.0) / total
 
-    if check:
-        assert state.rnorm_gap <= norm_before + 1e-9 * (1.0 + norm_before)
-        assert -1e-12 <= state.lam <= 1.0 + 1e-12
-        recon = state.atom_part - state.lam * state.target_lifted()
-        assert np.max(np.abs(recon - state.gap_vec)) <= 1e-8 * (1.0 + norm_before)
+    require(state.rnorm_gap <= norm_before + 1e-9 * (1.0 + norm_before), "gap vector grew")
+    require(-1e-12 <= state.lam <= 1.0 + 1e-12, "target weight left [0, 1]")
+    recon = state.atom_part - state.lam * state.target_lifted()
+    stale = np.max(np.abs(recon - state.gap_vec))
+    require(stale <= 1e-8 * (1.0 + norm_before), "gap vector left its decomposition")
     return kind
 
 
@@ -226,7 +221,6 @@ def run_general(
     strategy: corr.UpdateStrategy | None = None,
     initial_constraints=(),
     lp_context: Optional[LPStopContext] = None,
-    check: bool = True,
 ) -> RunResult:
     """Run the general-case solver until the stop rule fires or the cap hits.
 
@@ -240,6 +234,9 @@ def run_general(
     if R is None:
         R = oracle.radius_outer
     strategy = strategy or corr.segment_only()
+    kinds = (corr.StrategyKind.SEGMENT_ONLY, corr.StrategyKind.FULLY_CORRECTIVE)
+    if strategy.kind not in kinds or strategy.sparsify_every:
+        raise ValueError("the general solver takes segment or fully corrective updates only")
     stop = stop or CapOnly()
 
     dim = c.shape[0]
@@ -268,7 +265,7 @@ def run_general(
         return trivial_bound if value is None else min(value, trivial_bound)
 
     trace, converged = drive(
-        lambda: general_step(state, oracle, strategy, check=check).value,
+        lambda: general_step(state, oracle, strategy).value,
         lambda: (state.gamma_out, bound(), state.rnorm_gap, state.oracle_calls),
         stop,
         max_iters,
@@ -276,13 +273,14 @@ def run_general(
         c,
         state.cuts,
     )
-    certificate = None
-    if state.lam > 1e-9:
+    if bound() < trivial_bound:
         certificate = build_general_certificate(state, R)
+    else:  # the certificate must prove the bound reported
+        certificate = build_ball_certificate(c, R, state.gamma_out)
     return RunResult(
         incumbent=state.incumbent,
         gamma=state.gamma_out,
-        bound=bound(),
+        bound=certificate.claimed_bound,
         certificate=certificate,
         trace=trace,
         converged=converged,

@@ -27,7 +27,7 @@ from .certificates import build_polar_certificate
 from .geometry import as_vector, project_point_to_segment
 from .lp_baseline import LPStopContext
 from .oracle import Constraint, ConstraintForm, Inside, SeparationOracle, normalize_polar
-from .trace import CapOnly, RunResult, StopRule, drive
+from .trace import CapOnly, RunResult, StopRule, drive, require
 
 # Threshold under which the separating direction is considered degenerate
 # and the aggregate is shortened instead; the algorithm's own rule is <= 0,
@@ -148,7 +148,6 @@ def polar_step(
     state: PolarState,
     oracle: SeparationOracle,
     strategy: corr.UpdateStrategy | None = None,
-    check: bool = True,
 ) -> StepKind:
     """Advance the state by one iteration; returns which branch fired."""
     strategy = strategy or corr.segment_only()
@@ -161,15 +160,14 @@ def polar_step(
         kind = StepKind.SHRINK
         anchor = 0
     else:
-        if state.mode is PolarMode.PACKING and check:
-            assert np.min(x) >= -1e-9, "packing query point left the nonnegative orthant"
+        if state.mode is PolarMode.PACKING:
+            require(np.min(x) >= -1e-9, "packing query point left the nonnegative orthant")
         result = oracle.separate(x)
         state.oracle_calls += 1
         if isinstance(result, Inside):
             kind = StepKind.PRIMAL_IMPROVE
             gamma_new = float(state.c @ x)
-            if check:
-                assert gamma_new >= state.gamma - 1e-9 * (1 + abs(state.gamma))
+            require(gamma_new >= state.gamma - 1e-9 * (1 + abs(state.gamma)), "gamma fell")
             state.gamma = gamma_new
             state.target = state.c / gamma_new
             state.incumbent = x
@@ -192,9 +190,8 @@ def polar_step(
         w = np.maximum(state.weights, 0.0)
         state.weights = w / w.sum()
 
-    if check:
-        assert state.gamma >= gamma_before - 1e-9 * (1 + abs(gamma_before))
-        assert state.residual <= residual_before + 1e-9 * (1 + residual_before)
+    require(state.gamma >= gamma_before - 1e-9 * (1 + abs(gamma_before)), "gamma fell")
+    require(state.residual <= residual_before + 1e-9 * (1 + residual_before), "residual grew")
     return kind
 
 
@@ -263,7 +260,6 @@ def run_polar(
     mode: PolarMode = PolarMode.STANDARD,
     initial_constraints=(),
     lp_context: Optional[LPStopContext] = None,
-    check: bool = True,
 ) -> RunResult:
     """Run the solver until the stop rule fires or the iteration cap hits.
 
@@ -311,7 +307,7 @@ def run_polar(
     state.cuts.clear()  # initial rows are not separated cuts
 
     trace, converged = drive(
-        lambda: polar_step(state, oracle, strategy, check=check).value,
+        lambda: polar_step(state, oracle, strategy).value,
         lambda: (state.gamma, dual_bound(state, R), state.residual, state.oracle_calls),
         stop,
         max_iters,

@@ -6,6 +6,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 
+class InvariantError(RuntimeError):
+    """A solver invariant broke: the iterate no longer proves what it claims."""
+
+
+def require(ok, what: str) -> None:
+    """Raise InvariantError unless ok; unlike assert, this survives python -O."""
+    if not ok:
+        raise InvariantError(what)
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 

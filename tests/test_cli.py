@@ -9,6 +9,7 @@ from oracleopt.cli import _build_parser, _row_matches_instance, main
 from oracleopt.combinatorial import (
     MatchingOracle,
     matching_initial_rows,
+    oddset_constraint,
     parse_dimacs,
 )
 from oracleopt.harness import CHOICES, ExperimentConfig
@@ -132,3 +133,15 @@ def test_verify_accepts_nonneg_rows():
     assert _row_matches_instance(row.name, row, graph, "matching")
     flipped = Constraint(np.array([0.0, 1.0]), 0.0, name="nonneg:1")
     assert not _row_matches_instance(flipped.name, flipped, graph, "matching")
+
+
+def test_verify_accepts_positive_multiples_of_instance_rows():
+    graph = parse_dimacs("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+    odd = oddset_constraint(graph, (0, 1, 2))
+    for scale, rhs_shift, valid in ((1.0, 0.0, True), (3.0**-0.5, 0.0, True), (1.0, 0.5, True),
+                                    (-1.0, 0.0, False), (1.0, -0.5, False)):
+        row = Constraint(scale * odd.a, scale * odd.b + rhs_shift, name=odd.name)
+        assert _row_matches_instance(row.name, row, graph, "matching") is valid
+    for name, rhs, valid in (("zero", 1.0, True), ("ball0", 2.5, True), ("ball0", -1.0, False)):
+        row = Constraint(np.zeros(3), rhs, name=name)
+        assert _row_matches_instance(name, row, graph, "matching") is valid

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from oracleopt import combinatorial
 from oracleopt.combinatorial import (
     Graph,
     MatchingOracle,
@@ -15,10 +16,10 @@ from oracleopt.combinatorial import (
     make_graph,
     matching_initial_rows,
     max_weight_clique,
+    oddset_constraint,
     parse_dimacs,
     random_gnp,
     separate_clique,
-    separate_oddset,
     stableset_initial_rows,
     to_dimacs,
 )
@@ -44,6 +45,30 @@ def all_matchings(graph: Graph):
         if ok:
             out.append(np.array([(mask >> j) & 1 for j in range(m)], dtype=float))
     return out
+
+
+def componentwise_oddset(graph: Graph, x, max_set_size):
+    """Reference: first most violated odd set, in (size, lexicographic) order,
+    inside one connected component of the support {e : x_e > 1e-9}."""
+    x = np.asarray(x, dtype=float)
+    comp = list(range(graph.n_nodes))
+    for j, (u, v) in enumerate(graph.edges):
+        if x[j] > 1e-9:
+            cu, cv = comp[u], comp[v]
+            comp = [cu if c == cv else c for c in comp]
+    support = {u for j, e in enumerate(graph.edges) if x[j] > 1e-9 for u in e}
+    best, best_set = 0.0, None
+    for k in range(3, max_set_size + 1, 2):
+        for subset in itertools.combinations(sorted(support), k):
+            if len({comp[v] for v in subset}) > 1:
+                continue
+            inside = set(subset)
+            total = sum(
+                x[j] for j, (u, v) in enumerate(graph.edges) if u in inside and v in inside
+            )
+            if total - (k - 1) / 2.0 > best:
+                best, best_set = total - (k - 1) / 2.0, subset
+    return best, best_set
 
 
 def exhaustive_oddset(graph: Graph, x):
@@ -106,7 +131,7 @@ class TestGenerators:
 
 class TestOddsetSeparation:
     def test_triangle_at_half(self):
-        result = separate_oddset(K3, [0.5, 0.5, 0.5], max_set_size=3)
+        result = MatchingOracle(K3, max_set_size=3).separate([0.5, 0.5, 0.5])
         assert isinstance(result, Violated)
         assert result.constraint.name == "oddset:0|1|2"
         raw, subset = best_violated_oddset(K3, [0.5, 0.5, 0.5], max_set_size=3)
@@ -116,7 +141,7 @@ class TestOddsetSeparation:
     def test_matchings_are_inside(self):
         g = generate_triangle_instance(9, 3, seed=1)
         for x in all_matchings(g)[:40]:
-            assert isinstance(separate_oddset(g, x, max_set_size=9), Inside)
+            assert best_violated_oddset(g, x, max_set_size=9) == (0.0, None)
 
     def test_disjoint_triangles_tie_breaks_lexicographically(self):
         g = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
@@ -126,7 +151,7 @@ class TestOddsetSeparation:
 
     def test_cap_below_three_rejected(self):
         with pytest.raises(ValueError):
-            separate_oddset(K3, [0.5, 0.5, 0.5], max_set_size=2)
+            best_violated_oddset(K3, [0.5, 0.5, 0.5], max_set_size=2)
 
     def test_agrees_with_uncapped_enumeration(self):
         rng = np.random.default_rng(67)
@@ -145,15 +170,58 @@ class TestOddsetSeparation:
             raw, _ = best_violated_oddset(g, x, max_set_size=7)
             assert raw == pytest.approx(exhaustive_oddset(g, x), abs=1e-9)
 
+    def test_cross_component_tie_breaks_lexicographically(self):
+        # Component 0 = {0, 4, 5, 6} holds the triangle 4-5-6, component 1 the
+        # triangle 1-2-3; both violate by 0.5 and (1, 2, 3) comes first.
+        g = make_graph(7, [(0, 4), (1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
+        x = [0.25, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]
+        assert best_violated_oddset(g, x, max_set_size=5) == (0.5, (1, 2, 3))
+
+    def test_block_seam_changes_nothing(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        cases = []
+        for trial in range(12):
+            g = generate_triangle_instance(11, 9, seed=trial)
+            x = rng.uniform(0, 1, size=g.n_edges)
+            x[rng.random(g.n_edges) < 0.3] = 0.0
+            cases.append((g, x, int(rng.choice([5, 7, 9, 11]))))
+        whole = [best_violated_oddset(g, x, cap) for g, x, cap in cases]
+        for rows in (1, 3, 5):
+            for (g, x, cap), expected in zip(cases, whole):
+                monkeypatch.setattr(combinatorial, "_BLOCK_ENTRIES", rows * g.n_edges)
+                assert best_violated_oddset(g, x, cap) == expected
+
+    def test_large_graph_with_small_support_components(self):
+        # 40 non-isolated nodes: over a million odd subsets of size <= 9, but
+        # the support is four odd cliques, scanned one component at a time.
+        groups = [range(0, 5), range(10, 17), range(20, 25), range(30, 37)]
+        cliques = [(u, v) for grp in groups for u, v in itertools.combinations(grp, 2)]
+        g = make_graph(40, random_gnp(40, 0.3, seed=8).edges + tuple(cliques))
+        rng = np.random.default_rng(8)
+        x = np.zeros(g.n_edges)
+        for j, (u, v) in enumerate(g.edges):
+            for grp in groups:
+                if u in grp and v in grp:
+                    x[j] = rng.uniform(1.0, 1.1) / (len(grp) - 1)
+        found = set()
+        for cap in (5, 9):
+            raw, subset = best_violated_oddset(g, x, max_set_size=cap)
+            ref_raw, ref_subset = componentwise_oddset(g, x, cap)
+            assert subset == ref_subset
+            assert raw == pytest.approx(ref_raw, abs=1e-12)
+            found.add(len(subset))
+        assert found == {5, 7}
+
     def test_emitted_rows_valid_for_all_matchings(self):
         g = generate_triangle_instance(8, 3, seed=9)
         if g.n_edges == 0:
             return
-        result = separate_oddset(g, np.full(g.n_edges, 0.5), max_set_size=7)
-        if isinstance(result, Inside):
+        _, subset = best_violated_oddset(g, np.full(g.n_edges, 0.5), max_set_size=7)
+        if subset is None:
             return
+        row = oddset_constraint(g, subset)
         for x in all_matchings(g):
-            assert result.constraint.violation(x) <= 1e-9
+            assert row.violation(x) <= 1e-9
 
 
 class TestCliqueSeparation:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from oracleopt.certificates import verify_certificate
+from oracleopt.certificates import certificate_to_text, verify_certificate
+from oracleopt.cli import main
+from oracleopt.combinatorial import to_dimacs
 from oracleopt.corrective import fully_corrective
 from oracleopt.harness import (
     ExperimentSummary,
@@ -119,9 +121,12 @@ class TestRunExperiment:
             {"problem": "stableset", "nodes": 14, "density": 0.55, "seed": 1},
         ],
     )
-    def test_general_method_cuts_queries_outside_the_orthant(self, overrides):
+    def test_general_method_cuts_queries_outside_the_orthant(self, overrides, tmp_path):
         # The general solver may query points with negative coordinates; the
-        # packing oracles answer them with a nonnegativity row.
+        # packing oracles answer them with a nonnegativity row.  Its
+        # certificate proves the bound it reports (the stable-set run ends on
+        # the trivial ball bound) and passes `verify --instance`, although
+        # its rows are unit-normalized and include ball0.
         config = load_config(None, dict(overrides, method="general", out=""))
         summary_row, _ = run_experiment(config)
         assert summary_row.converged
@@ -138,6 +143,12 @@ class TestRunExperiment:
         assert any(cut.name.startswith("nonneg:") for cut in res.state.cuts)
         history = res.state.atoms
         assert verify_certificate(res.certificate, constraint_history=history).passed
+        assert res.certificate.claimed_bound == res.bound
+        (tmp_path / "g.dimacs").write_text(to_dimacs(instance.oracle.graph))
+        (tmp_path / "run.cert").write_text(certificate_to_text(res.certificate))
+        argv = ["verify", "--certificate", str(tmp_path / "run.cert"),
+                "--instance", str(tmp_path / "g.dimacs"), "--problem", config.problem]
+        assert main(argv) == 0
 
     def test_identical_seed_gives_identical_trace_bytes(self, tmp_path):
         overrides = {

@@ -1,10 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracleopt
 from oracleopt.certificates import verify_certificate
-from oracleopt.corrective import fully_corrective
+from oracleopt.corrective import (
+    fully_corrective,
+    partially_corrective,
+    segment_only,
+    segment_plus_nonneg,
+)
 from oracleopt.oracle import BallOracle, Constraint, PolytopeOracle
 from oracleopt.solver_general import (
     general_dual_bound,
@@ -168,3 +179,43 @@ class TestRunGeneral:
         ingested = res.state.atoms[1]
         assert ingested.b == pytest.approx(1.0)
         assert np.linalg.norm(ingested.a) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [partially_corrective(), segment_plus_nonneg(), segment_only(sparsify_every=5),
+         fully_corrective(2, sparsify_every=5)],
+    )
+    def test_unsupported_strategies_rejected(self, strategy):
+        with pytest.raises(ValueError, match="general solver"):
+            run_general(BallOracle([0.0, 0.0], 1.0), [1.0, 0.0], strategy=strategy, max_iters=1)
+
+    def test_broken_invariant_raises_under_python_O(self):
+        # The oracle answers the origin with x_0 <= 1, which holds there, so the
+        # cut step's invariant breaks; python -O strips asserts but not this.
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from oracleopt import InvariantError, run_general
+            from oracleopt.oracle import BallOracle, Constraint, Violated
+
+            class Liar(BallOracle):
+                def separate(self, x):
+                    return Violated(Constraint(np.array([1.0, 0.0]), 1.0, name="x0"), 1.0)
+
+            print("debug", __debug__)
+            try:
+                run_general(Liar([0.0, 0.0], 1.0), [1.0, 0.0], R=2.0, max_iters=1)
+            except InvariantError as exc:
+                print("raised:", exc)
+            """
+        )
+        src = str(Path(oracleopt.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "debug False",
+            "raised: the cut is not violated at the query",
+        ]
