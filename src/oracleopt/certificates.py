@@ -240,14 +240,15 @@ def verify_certificate(
 
     rows_in_history = True
     if constraint_history is not None:
-        history = [(as_vector(h.a), float(h.b)) for h in constraint_history]
+        history = list(constraint_history)
+        ha = np.array([as_vector(h.a) for h in history])
+        hb = np.array([float(h.b) for h in history])
         for cons, m in cert.rows:
             if abs(m) <= 1e-12:
                 continue
-            if not any(
-                np.allclose(cons.a, ha, atol=1e-9) and abs(cons.b - hb) <= 1e-9
-                for ha, hb in history
-            ):
+            if not history or not (
+                np.isclose(cons.a, ha, atol=1e-9).all(axis=1) & (np.abs(cons.b - hb) <= 1e-9)
+            ).any():
                 rows_in_history = False
                 break
 

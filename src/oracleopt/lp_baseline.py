@@ -1,9 +1,13 @@
-"""Small dense LP solver and the reference cutting-plane loop.
+"""Dense LP solver and the reference cutting-plane loop.
 
-The simplex here exists for correctness and iteration-count comparisons,
-not speed: dense tableau, two phases, Bland's rule for anti-cycling.  It
-powers the cut loop, the shared 1%-of-optimum stopping bound, and the
-convex-combination sparsifier.
+The simplex is a dense two-phase tableau method under Bland's rule.  Which
+optimal vertex it returns sets the cut loop's counts, and its values are the
+LP bounds in every trace, so it is kept exact rather than swapped for a
+faster method: its inner loops run in numpy but perform the scalar
+algorithm's floating-point operations in the same order, and the tests hold
+it bit for bit to a plain-Python copy.  It powers the cut loop, the shared
+1%-of-optimum stopping bound, the clique-relaxation reference optimum and
+the convex-combination sparsifier.
 """
 
 from __future__ import annotations
@@ -64,161 +68,133 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     UnboundedLPError for degenerate inputs.
     """
     n = lp.objective.shape[0]
-    free = np.isneginf(lp.lb)
+    free = np.flatnonzero(np.isneginf(lp.lb))
+    bounded = np.flatnonzero(np.isfinite(lp.ub))
+    ncols = n + len(free)  # one mirror column per free variable (x = x+ - x-)
 
-    # Column layout: one column per variable, plus a mirror column for each
-    # free variable (x = x+ - x-).
-    mirror_of_var = {}
-    ncols = n
-    for j in range(n):
-        if free[j]:
-            mirror_of_var[j] = ncols
-            ncols += 1
+    def stack(rows) -> np.ndarray:
+        return np.array([r.a for r in rows], dtype=float).reshape(len(rows), n)
+
+    le = np.vstack([stack(lp.rows), np.eye(n)[bounded]])
+    le_b = np.concatenate([[r.b for r in lp.rows], lp.ub[bounded]])
+    eq = stack(lp.equalities)
+    eq_b = np.array([r.b for r in lp.equalities], dtype=float)
 
     def expand(a: np.ndarray) -> np.ndarray:
-        row = np.zeros(ncols)
-        row[:n] = a
-        for j, mcol in mirror_of_var.items():
-            row[mcol] = -a[j]
-        return row
+        out = np.zeros(a.shape[:-1] + (ncols,))
+        out[..., :n] = a
+        out[..., n:] = -a[..., free]
+        return out
 
-    le_rows = [(expand(r.a), r.b) for r in lp.rows]
-    for j in range(n):
-        if np.isfinite(lp.ub[j]):
-            e = np.zeros(n)
-            e[j] = 1.0
-            le_rows.append((expand(e), float(lp.ub[j])))
-    eq_rows = [(expand(r.a), r.b) for r in lp.equalities]
-
-    objective = expand(lp.objective)
-    x_full = _simplex(objective, le_rows, eq_rows, ncols)
-
+    x_full = _simplex(expand(lp.objective), expand(le), le_b, expand(eq), eq_b)
     x = x_full[:n].copy()
-    for j, mcol in mirror_of_var.items():
-        x[j] -= x_full[mcol]
+    x[free] -= x_full[n:]
     return LPResult(x, float(lp.objective @ x))
 
 
-def _simplex(c: np.ndarray, le_rows, eq_rows, ncols: int) -> np.ndarray:
-    n_le = len(le_rows)
-    n_eq = len(eq_rows)
-    m = n_le + n_eq
-    if m == 0:
-        raise UnboundedLPError("no constraints")
-
-    slack_start = ncols
+def _simplex(c, le, le_b, eq, eq_b) -> np.ndarray:
+    n_le, ncols = le.shape
+    m = n_le + len(eq)
     total = ncols + n_le  # structural + slack columns; artificials appended below
 
     A = np.zeros((m, total))
-    b = np.zeros(m)
-    for i, (row, rhs) in enumerate(le_rows):
-        A[i, :ncols] = row
-        A[i, slack_start + i] = 1.0
-        b[i] = rhs
-    for k, (row, rhs) in enumerate(eq_rows):
-        A[n_le + k, :ncols] = row
-        b[n_le + k] = rhs
+    A[:n_le, :ncols] = le
+    A[:n_le, ncols:] = np.eye(n_le)
+    A[n_le:, :ncols] = eq
+    b = np.concatenate([le_b, eq_b])
 
     # Flip rows with negative right-hand sides so every row can host a
     # nonnegative basic variable.
-    for i in range(m):
-        if b[i] < 0:
-            A[i] *= -1.0
-            b[i] *= -1.0
+    flip = b < 0
+    A[flip] *= -1.0
+    b[flip] *= -1.0
 
     # Rows whose slack no longer works as a starting basis get an artificial.
-    basis = np.full(m, -1, dtype=int)
-    needs_artificial = []
-    for i in range(m):
-        if i < n_le and A[i, slack_start + i] > 0.5:
-            basis[i] = slack_start + i
-        else:
-            needs_artificial.append(i)
-
+    basis = np.arange(ncols, ncols + m)
+    needs_artificial = np.flatnonzero(flip | (np.arange(m) >= n_le))
     n_art = len(needs_artificial)
+    art_cols = total + np.arange(n_art)
+    basis[needs_artificial] = art_cols
     tableau = np.zeros((m + 1, total + n_art + 1))
     tableau[:m, :total] = A
     tableau[:m, -1] = b
-    art_cols = []
-    for k, i in enumerate(needs_artificial):
-        col = total + k
-        tableau[i, col] = 1.0
-        basis[i] = col
-        art_cols.append(col)
+    tableau[needs_artificial, art_cols] = 1.0
 
-    banned: set[int] = set()
+    allowed = np.ones(total + n_art, dtype=bool)
     if n_art:
         # Phase 1: maximize -(sum of artificials); cost row expressed in the
         # starting basis is the negated sum of the artificial rows.
         for i in needs_artificial:
             tableau[-1, :] -= tableau[i, :]
         tableau[-1, art_cols] = 0.0
-        _iterate(tableau, basis, banned)
+        _iterate(tableau, basis, allowed)
         if tableau[-1, -1] < -1e-7:
             raise InfeasibleLPError("phase-1 optimum is positive")
-        banned = set(art_cols)
+        allowed[art_cols] = False
         # Kick artificials still sitting in the basis.
-        for i in range(m):
-            if basis[i] in banned:
-                pivot_col = -1
-                for j in range(total):
-                    if j not in banned and abs(tableau[i, j]) > _PIVOT_TOL:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    _pivot(tableau, i, pivot_col, basis)
+        for i in np.flatnonzero(basis >= total):
+            cols = np.flatnonzero(allowed & (np.abs(tableau[i, :-1]) > _PIVOT_TOL))
+            if len(cols):
+                _pivot(tableau, i, cols[0], basis)
         tableau[-1, :] = 0.0
 
-    # Phase 2 cost row: start from -c and eliminate the basic columns.
+    # Phase 2 cost row: start from -c and eliminate the basic columns.  Basic
+    # columns stay unit vectors, so the rows to eliminate are known up front.
     tableau[-1, : len(c)] = -c
-    for i in range(m):
-        coeff = tableau[-1, basis[i]]
-        if abs(coeff) > 0:
-            tableau[-1, :] -= coeff * tableau[i, :]
-    _iterate(tableau, basis, banned)
+    for i in np.flatnonzero(np.abs(tableau[-1, basis]) > 0):
+        tableau[-1, :] -= tableau[-1, basis[i]] * tableau[i, :]
+    _iterate(tableau, basis, allowed)
 
     x = np.zeros(total + n_art)
-    for i in range(m):
-        x[basis[i]] = tableau[i, -1]
+    x[basis] = tableau[:m, -1]
     return x[:ncols]
 
 
-def _iterate(tableau: np.ndarray, basis: np.ndarray, banned: set[int]) -> None:
-    m = tableau.shape[0] - 1
-    width = tableau.shape[1] - 1
+def _iterate(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -> None:
     while True:
-        enter = -1
-        for j in range(width):
-            if j in banned:
-                continue
-            if tableau[-1, j] < -_COST_TOL:
-                enter = j
-                break  # Bland: smallest improving index
-        if enter < 0:
+        improving = allowed & (tableau[-1, :-1] < -_COST_TOL)
+        enter = improving.argmax()  # Bland: smallest improving index
+        if not improving[enter]:
             return
-        leave = -1
-        best_ratio = np.inf
-        for i in range(m):
-            coeff = tableau[i, enter]
-            if coeff > _PIVOT_TOL:
-                ratio = tableau[i, -1] / coeff
-                if ratio < best_ratio - _PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= _PIVOT_TOL
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
-            raise UnboundedLPError("no blocking row for entering column")
-        _pivot(tableau, leave, enter, basis)
+        _pivot(tableau, _leaving_row(tableau, enter, basis), enter, basis)
+
+
+def _leaving_row(tableau: np.ndarray, enter: int, basis: np.ndarray) -> int:
+    """Ratio test: the smallest ratio, near-ties to the lowest basic index.
+
+    Near-ties chain, so the winner depends on the running best and the scan
+    stays sequential.  It visits only the rows that can block (positive
+    coefficient), as Python floats: the same IEEE doubles, without numpy's
+    per-element overhead.
+    """
+    column = tableau[:-1, enter]
+    rows = (column > _PIVOT_TOL).nonzero()[0]
+    ratios = tableau[rows, -1] / column[rows]
+    leave, leave_basic, best_ratio = -1, -1, np.inf
+    for i, ratio, basic in zip(rows.tolist(), ratios.tolist(), basis[rows].tolist()):
+        if ratio < best_ratio - _PIVOT_TOL or (
+            abs(ratio - best_ratio) <= _PIVOT_TOL and (leave < 0 or basic < leave_basic)
+        ):
+            leave, leave_basic, best_ratio = i, basic, ratio
+    if leave < 0:
+        raise UnboundedLPError("no blocking row for entering column")
+    return leave
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int, basis: np.ndarray) -> None:
     tableau[row, :] /= tableau[row, col]
-    pivot_row = tableau[row, :]
-    for i in range(tableau.shape[0]):
-        if i != row and abs(tableau[i, col]) > 0:
-            tableau[i, :] -= tableau[i, col] * pivot_row
+    pivot_row = tableau[row]
+    coeffs = tableau[:, col].copy()
+    coeffs[row] = 0.0
+    # Only rows with a nonzero coefficient change, and only columns with a
+    # nonzero pivot-row entry plus the rhs: elsewhere the update subtracts a
+    # zero, which at most flips the sign of a zero entry, and only the rhs
+    # column's zeros ever reach x.
+    rows = (np.abs(coeffs) > 0).nonzero()[0]
+    cols = pivot_row != 0
+    cols[-1] = True
+    cols = cols.nonzero()[0]
+    tableau[rows[:, None], cols] -= coeffs[rows, None] * pivot_row[cols]
     basis[row] = col
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from oracleopt.certificates import (
     CertificateUnavailableError,
+    DualCertificate,
     StaleDecompositionError,
     build_general_certificate,
     build_polar_certificate,
@@ -12,7 +13,7 @@ from oracleopt.certificates import (
     certificate_to_text,
     verify_certificate,
 )
-from oracleopt.oracle import BallOracle, box_oracle
+from oracleopt.oracle import BallOracle, Constraint, box_oracle
 from oracleopt.solver_general import run_general
 from oracleopt.solver_polar import PolarMode, run_polar
 from oracleopt.trace import CapOnly, GapStop
@@ -110,6 +111,52 @@ class TestVerifyCertificate:
         history = res.state.atoms
         assert verify_certificate(cert, constraint_history=history).passed
         assert not verify_certificate(cert, constraint_history=history[:1]).rows_in_history
+
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            ("exact", True),
+            ("a_off_2e-9_on_large_entry", True),  # within allclose's rtol=1e-5
+            ("a_off_2e-9_on_zero_entry", False),
+            ("b_off_2e-9", False),
+            ("row_absent", False),
+            ("zero_multiplier_row_absent", True),
+            ("empty_history", False),
+        ],
+    )
+    def test_history_check_matches_pairwise_allclose(self, case, expected):
+        rows = [
+            (Constraint(np.array([1.0, 0.0]), 1.0), 0.5),
+            (Constraint(np.array([0.6, 0.8]), 1.0), 0.5),
+            (Constraint(np.array([0.0, 1.0]), 2.0), 0.0),
+        ]
+        history = [cons for cons, _ in rows]
+        if case == "a_off_2e-9_on_large_entry":
+            history[0] = Constraint(np.array([1.0 + 2e-9, 0.0]), 1.0)
+        elif case == "a_off_2e-9_on_zero_entry":
+            history[0] = Constraint(np.array([1.0, 2e-9]), 1.0)
+        elif case == "b_off_2e-9":
+            history[1] = Constraint(history[1].a, 1.0 + 2e-9)
+        elif case == "row_absent":
+            history = history[1:]
+        elif case == "zero_multiplier_row_absent":
+            history = history[:2]
+        elif case == "empty_history":
+            history = []
+        normal = 0.5 * np.array([1.0, 0.0]) + 0.5 * np.array([0.6, 0.8])
+        cert = DualCertificate(
+            setting="polar", objective=normal, rows=rows, ball_normal=np.array([1.0, 0.0]),
+            ball_rhs=1.0, ball_coefficient=0.0, claimed_bound=1.0, gamma=1.0, R=1.0,
+        )
+        # The scalar reference: one np.allclose per (used row, history row) pair.
+        reference = all(
+            any(np.allclose(cons.a, h.a, atol=1e-9) and abs(cons.b - h.b) <= 1e-9 for h in history)
+            for cons, m in rows
+            if abs(m) > 1e-12
+        )
+        assert reference is expected
+        report = verify_certificate(cert, constraint_history=history)
+        assert report == dataclasses.replace(verify_certificate(cert), rows_in_history=expected)
 
     def test_soundness_against_dense_sample(self):
         rng = np.random.default_rng(61)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from oracleopt import lp_baseline
 from oracleopt.lp_baseline import (
     InfeasibleLPError,
     LinearProgram,
@@ -13,6 +14,241 @@ from oracleopt.lp_baseline import (
 )
 from oracleopt.oracle import BallOracle, Constraint
 from oracleopt.trace import LPStop
+
+_PIVOT_TOL = lp_baseline._PIVOT_TOL
+_COST_TOL = lp_baseline._COST_TOL
+
+
+def reference_solve_lp(lp: LinearProgram) -> tuple[np.ndarray, float]:
+    """The scalar simplex that `solve_lp` vectorizes, loop for loop.
+
+    Same column layout, phases, Bland's rule and tolerances, with Python
+    loops over rows and columns; `solve_lp` must match it bit for bit.
+    """
+    n = lp.objective.shape[0]
+    free = np.isneginf(lp.lb)
+    mirror_of_var = {}
+    ncols = n
+    for j in range(n):
+        if free[j]:
+            mirror_of_var[j] = ncols
+            ncols += 1
+
+    def expand(a):
+        row = np.zeros(ncols)
+        row[:n] = a
+        for j, mcol in mirror_of_var.items():
+            row[mcol] = -a[j]
+        return row
+
+    le_rows = [(expand(r.a), r.b) for r in lp.rows]
+    for j in range(n):
+        if np.isfinite(lp.ub[j]):
+            e = np.zeros(n)
+            e[j] = 1.0
+            le_rows.append((expand(e), float(lp.ub[j])))
+    eq_rows = [(expand(r.a), r.b) for r in lp.equalities]
+    x_full = _reference_simplex(expand(lp.objective), le_rows, eq_rows, ncols)
+    x = x_full[:n].copy()
+    for j, mcol in mirror_of_var.items():
+        x[j] -= x_full[mcol]
+    return x, float(lp.objective @ x)
+
+
+def _reference_simplex(c, le_rows, eq_rows, ncols):
+    n_le = len(le_rows)
+    m = n_le + len(eq_rows)
+    slack_start = ncols
+    total = ncols + n_le
+    A = np.zeros((m, total))
+    b = np.zeros(m)
+    for i, (row, rhs) in enumerate(le_rows):
+        A[i, :ncols] = row
+        A[i, slack_start + i] = 1.0
+        b[i] = rhs
+    for k, (row, rhs) in enumerate(eq_rows):
+        A[n_le + k, :ncols] = row
+        b[n_le + k] = rhs
+    for i in range(m):
+        if b[i] < 0:
+            A[i] *= -1.0
+            b[i] *= -1.0
+    basis = np.full(m, -1, dtype=int)
+    needs_artificial = []
+    for i in range(m):
+        if i < n_le and A[i, slack_start + i] > 0.5:
+            basis[i] = slack_start + i
+        else:
+            needs_artificial.append(i)
+    n_art = len(needs_artificial)
+    tableau = np.zeros((m + 1, total + n_art + 1))
+    tableau[:m, :total] = A
+    tableau[:m, -1] = b
+    art_cols = []
+    for k, i in enumerate(needs_artificial):
+        col = total + k
+        tableau[i, col] = 1.0
+        basis[i] = col
+        art_cols.append(col)
+    banned = set()
+    if n_art:
+        for i in needs_artificial:
+            tableau[-1, :] -= tableau[i, :]
+        tableau[-1, art_cols] = 0.0
+        _reference_iterate(tableau, basis, banned)
+        if tableau[-1, -1] < -1e-7:
+            raise InfeasibleLPError("phase-1 optimum is positive")
+        banned = set(art_cols)
+        for i in range(m):
+            if basis[i] in banned:
+                pivot_col = -1
+                for j in range(total):
+                    if j not in banned and abs(tableau[i, j]) > _PIVOT_TOL:
+                        pivot_col = j
+                        break
+                if pivot_col >= 0:
+                    _reference_pivot(tableau, i, pivot_col, basis)
+        tableau[-1, :] = 0.0
+    tableau[-1, : len(c)] = -c
+    for i in range(m):
+        coeff = tableau[-1, basis[i]]
+        if abs(coeff) > 0:
+            tableau[-1, :] -= coeff * tableau[i, :]
+    _reference_iterate(tableau, basis, banned)
+    x = np.zeros(total + n_art)
+    for i in range(m):
+        x[basis[i]] = tableau[i, -1]
+    return x[:ncols]
+
+
+def _reference_iterate(tableau, basis, banned):
+    m = tableau.shape[0] - 1
+    width = tableau.shape[1] - 1
+    while True:
+        enter = -1
+        for j in range(width):
+            if j in banned:
+                continue
+            if tableau[-1, j] < -_COST_TOL:
+                enter = j
+                break
+        if enter < 0:
+            return
+        leave = -1
+        best_ratio = np.inf
+        for i in range(m):
+            coeff = tableau[i, enter]
+            if coeff > _PIVOT_TOL:
+                ratio = tableau[i, -1] / coeff
+                if ratio < best_ratio - _PIVOT_TOL or (
+                    abs(ratio - best_ratio) <= _PIVOT_TOL
+                    and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            raise UnboundedLPError("no blocking row for entering column")
+        _reference_pivot(tableau, leave, enter, basis)
+
+
+def _reference_pivot(tableau, row, col, basis):
+    tableau[row, :] /= tableau[row, col]
+    pivot_row = tableau[row, :]
+    for i in range(tableau.shape[0]):
+        if i != row and abs(tableau[i, col]) > 0:
+            tableau[i, :] -= tableau[i, col] * pivot_row
+    basis[row] = col
+
+
+FAMILIES = (
+    "packing01",
+    "near_ties",
+    "dyadic",
+    "gaussian",
+    "equalities",
+    "free",
+    "negative_rhs",
+    "infeasible",
+    "unbounded",
+)
+
+
+def random_lp(rng, family: str) -> LinearProgram:
+    """A small random LP of one family; some families are degenerate on purpose."""
+    n = int(rng.integers(1, 13))
+    m = int(rng.integers(0, 30))
+    lb = np.zeros(n)
+    ub = np.where(rng.random(n) < 0.5, rng.integers(1, 5, n) / 2.0, np.inf)
+    c = rng.integers(-2, 6, n).astype(float)
+    rows, eqs = [], []
+    if family == "packing01":  # stable-set/matching style: 0/1 rows, b = 1
+        rows = [Constraint((rng.random(n) < 0.4).astype(float), 1.0) for _ in range(m)]
+        ub = np.where(rng.random(n) < 0.7, 1.0, np.inf)
+        c = np.where(rng.random(n) < 0.8, 1.0, rng.integers(0, 4, n).astype(float))
+    elif family == "near_ties":  # rhs 4e-10 apart: ratios tie in chains under _PIVOT_TOL
+        rows = [
+            Constraint((rng.random(n) < 0.5).astype(float), 1.0 + 4e-10 * rng.integers(0, 4))
+            for _ in range(m)
+        ]
+    elif family == "dyadic":
+        rows = [
+            Constraint(rng.integers(-4, 5, n) / 4.0, rng.integers(0, 9) / 4.0) for _ in range(m)
+        ]
+    elif family == "gaussian":
+        rows = [Constraint(rng.normal(size=n), rng.uniform(0.1, 2.0)) for _ in range(m)]
+        c = rng.normal(size=n)
+    elif family == "equalities":
+        x0 = rng.integers(0, 3, n) / 2.0
+        rows = [
+            Constraint(rng.integers(-2, 3, n) / 2.0, rng.integers(0, 6) / 2.0) for _ in range(m)
+        ]
+        rows = [r for r in rows if r.a @ x0 <= r.b]
+        ub = np.maximum(ub, x0)
+        for _ in range(int(rng.integers(1, 4))):
+            a = rng.integers(0, 3, n).astype(float)
+            eqs.append(Constraint(a, float(a @ x0)))
+    elif family == "free":
+        lb[rng.random(n) < 0.5] = -np.inf
+        rows = [
+            Constraint(rng.integers(-2, 3, n).astype(float), float(rng.integers(0, 4)))
+            for _ in range(m)
+        ]
+        for j in np.flatnonzero(np.isneginf(lb)):
+            e = np.zeros(n)
+            e[j] = -1.0
+            rows.append(Constraint(e, float(rng.integers(0, 4))))
+    elif family == "negative_rhs":  # covering rows put phase 1 to work
+        rows = [Constraint((rng.random(n) < 0.5).astype(float), 1.0) for _ in range(m)]
+        rows += [
+            Constraint(-(rng.random(n) < 0.5).astype(float), -1.0) for _ in range(m // 3 + 1)
+        ]
+        ub = np.where(rng.random(n) < 0.7, 1.0, np.inf)
+    elif family == "infeasible":
+        rows = [
+            Constraint(rng.integers(0, 3, n).astype(float), float(rng.integers(1, 4)))
+            for _ in range(m)
+        ]
+        a = rng.integers(1, 3, n).astype(float)
+        rows += [Constraint(a, 1.0), Constraint(-a, -1.5)]
+        rng.shuffle(rows)
+    elif family == "unbounded":
+        ub = np.where(rng.random(n) < 0.3, 1.0, np.inf)
+        rows = [Constraint(-(rng.random(n) < 0.5).astype(float), 0.0) for _ in range(m)]
+        c = np.abs(c) + 1.0
+    return LinearProgram(objective=c, rows=rows, equalities=eqs, lb=lb, ub=ub)
+
+
+def vectorized_solve_lp(lp: LinearProgram) -> tuple[np.ndarray, float]:
+    res = solve_lp(lp)
+    return res.x, res.value
+
+
+def outcome(solve, lp):
+    try:
+        x, value = solve(lp)
+    except (InfeasibleLPError, UnboundedLPError) as exc:
+        return type(exc).__name__, None, None
+    return "optimal", x.tobytes(), value
 
 
 def enumerate_vertices_value(c, rows, lb, ub):
@@ -98,6 +334,111 @@ class TestSolveLP:
         lp = LinearProgram(objective=np.ones(2), rows=[Constraint(np.array([1.0, 0.0]), 1.0)])
         with pytest.raises(UnboundedLPError):
             solve_lp(lp)
+
+    def test_bounded_lp_without_rows_is_zero(self):
+        for c in (-np.ones(2), np.zeros(2)):
+            res = solve_lp(LinearProgram(objective=c))
+            assert res.value == 0.0
+            assert np.array_equal(res.x, np.zeros(2))
+        assert lp_stop_bound([], [], -np.ones(3)) == 0.0
+
+    def test_unbounded_lp_without_rows_detected(self):
+        with pytest.raises(UnboundedLPError, match="no blocking row"):
+            solve_lp(LinearProgram(objective=np.array([0.0, 1.0])))
+
+    def test_matches_scalar_reference_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        seen = {}
+        for k in range(130 * len(FAMILIES)):
+            family = FAMILIES[k % len(FAMILIES)]
+            lp = random_lp(rng, family)
+            got = outcome(vectorized_solve_lp, lp)
+            assert got == outcome(reference_solve_lp, lp), (k, family)
+            seen[got[0]] = seen.get(got[0], 0) + 1
+        kinds = ("optimal", "InfeasibleLPError", "UnboundedLPError")
+        assert min(seen.get(kind, 0) for kind in kinds) >= 50, seen
+
+    def test_near_tie_takes_the_sequential_tie_break(self, monkeypatch):
+        # Entering x0 meets ratios 1 + 5e-10 (row 0) and 1 (row 1): within
+        # _PIVOT_TOL, so row 0 keeps the lead although row 1 is the argmin.
+        lp = LinearProgram(
+            objective=np.array([1.0, 0.0]),
+            rows=[Constraint(np.array([1.0, 0.0]), 1.0 + 5e-10), Constraint(np.ones(2), 1.0)],
+        )
+        pivots = []
+        real_pivot = lp_baseline._pivot
+
+        def recording_pivot(tableau, row, col, basis):
+            pivots.append((row, col))
+            real_pivot(tableau, row, col, basis)
+
+        monkeypatch.setattr(lp_baseline, "_pivot", recording_pivot)
+        assert outcome(vectorized_solve_lp, lp) == outcome(reference_solve_lp, lp)
+        assert pivots == [(0, 0)]
+        assert solve_lp(lp).x[0] == 1.0 + 5e-10
+
+    def test_chained_near_ties_follow_the_running_best(self):
+        # Ratios 1, 1 + 1.2e-9, 1 + 6e-10 in rows with basic columns 5, 3, 4:
+        # neighbours in sorted order tie, the ends do not.  The scan keeps
+        # row 0 over row 1 (not a tie) and then takes row 2 (a tie with a
+        # lower basic index): neither the argmin (row 0) nor the lowest basic
+        # index (row 1).
+        tableau = np.zeros((4, 7))
+        tableau[:3, 0] = 1.0
+        tableau[[0, 1, 2], [5, 3, 4]] = 1.0
+        tableau[:3, -1] = [1.0, 1.0 + 1.2e-9, 1.0 + 6e-10]
+        tableau[-1, 0] = -1.0
+        basis = np.array([5, 3, 4])
+        expected, expected_basis = tableau.copy(), basis.copy()
+        _reference_iterate(expected, expected_basis, set())
+        lp_baseline._iterate(tableau, basis, np.ones(6, dtype=bool))
+        assert basis.tolist() == expected_basis.tolist() == [5, 3, 0]
+        assert tableau.tobytes() == expected.tobytes()
+
+    def test_pivot_matches_reference_up_to_signs_of_zeros(self):
+        # The pivot skips columns whose pivot-row entry is zero; there the
+        # reference subtracts a zero.  Values must agree everywhere and the
+        # rhs column, which x is read from, byte for byte, signed zeros too.
+        rng = np.random.default_rng(11)
+        values = np.array([-2.0, -1.0, -0.0, 0.0, 0.0, 0.5, 1.0, 3.0])
+        for _ in range(300):
+            tableau = rng.choice(values, size=(int(rng.integers(2, 7)), int(rng.integers(3, 8))))
+            row = int(rng.integers(tableau.shape[0] - 1))
+            col = int(rng.integers(tableau.shape[1] - 1))
+            if tableau[row, col] == 0:
+                continue
+            expected = tableau.copy()
+            basis = np.zeros(tableau.shape[0] - 1, dtype=int)
+            expected_basis = basis.copy()
+            _reference_pivot(expected, row, col, expected_basis)
+            lp_baseline._pivot(tableau, row, col, basis)
+            assert np.array_equal(tableau, expected)
+            assert tableau[:, -1].tobytes() == expected[:, -1].tobytes()
+            assert basis.tolist() == expected_basis.tolist()
+
+    def test_agrees_with_highs(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(7)
+        for k in range(40 * len(FAMILIES)):
+            family = FAMILIES[k % len(FAMILIES)]
+            lp = random_lp(rng, family)
+            ref = linprog(
+                -lp.objective,
+                A_ub=np.array([r.a for r in lp.rows]) if lp.rows else None,
+                b_ub=[r.b for r in lp.rows] or None,
+                A_eq=np.array([r.a for r in lp.equalities]) if lp.equalities else None,
+                b_eq=[r.b for r in lp.equalities] or None,
+                bounds=[
+                    (None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
+                    for lo, hi in zip(lp.lb, lp.ub)
+                ],
+                method="highs",
+            )
+            expected = {0: "optimal", 2: "InfeasibleLPError", 3: "UnboundedLPError"}[ref.status]
+            kind, _, value = outcome(vectorized_solve_lp, lp)
+            assert kind == expected, (k, family)
+            if kind == "optimal":
+                assert value == pytest.approx(-ref.fun, rel=1e-7, abs=1e-7), (k, family)
 
     def test_matches_vertex_enumeration_on_random_instances(self):
         rng = np.random.default_rng(17)
