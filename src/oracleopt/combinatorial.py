@@ -4,7 +4,8 @@ Matching uses the degree rows plus the blossom (odd-set) inequalities
 sum_{e in E[U]} x_e <= (|U|-1)/2 for odd U; stable set uses the clique
 relaxation with one row per clique.  Separation is exact at desk scale:
 odd sets by enumeration up to a size cap inside each connected component
-of the fractional support, afresh on every call, cliques by a weighted
+of the fractional support (the oracle keeps the tables of its previous
+call's components, which later calls often repeat), cliques by a weighted
 branch-and-bound with a greedy-coloring bound.  Brute-force optima back
 the shared 1%-of-optimum stopping rule.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,7 @@ from .oracle import (
 log = logging.getLogger(__name__)
 
 _SUPPORT_TOL = 1e-9
-_BLOCK_ENTRIES = 1 << 22  # matrix entries per odd-set block; bounds memory at 32 MB
+_BLOCK_ENTRIES = 1 << 22  # entries per odd-set block (32 MB float) and kept component (4 MB bool)
 _MATCHING_BRUTE_CAP = 24
 _CLIQUE_BRUTE_CAP = 30
 
@@ -169,7 +171,39 @@ def _support_components(graph: Graph, x: np.ndarray):
     return comp, len(roots)
 
 
-def best_violated_oddset(graph: Graph, x, max_set_size: int = 9):
+def _oddset_blocks(graph: Graph, nodes: tuple[int, ...], max_set_size: int):
+    """A component's odd subsets as (size, subsets, inside) blocks.
+
+    Subsets come in (size, lexicographic) order, at most _BLOCK_ENTRIES
+    matrix entries a block; inside[i, j] says whether edge j lies in subset i.
+    """
+    ends = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
+    block_rows = max(1, _BLOCK_ENTRIES // max(1, graph.n_edges))
+    node_type = np.min_scalar_type(graph.n_nodes)
+    for size in range(3, min(max_set_size, len(nodes)) + 1, 2):
+        subsets = itertools.combinations(nodes, size)
+        while True:
+            flat = itertools.chain.from_iterable(itertools.islice(subsets, block_rows))
+            block = np.fromiter(flat, dtype=node_type).reshape(-1, size)
+            if block.size == 0:
+                break
+            rows = block.shape[0]
+            # BLAS sums the rows of a row-major matrix in groups of four,
+            # and a ragged tail, or a lone row, in another order; padding
+            # keeps a subset's score independent of its block.
+            member = np.zeros((-(-rows // 4) * 4, graph.n_nodes), dtype=bool)
+            np.put_along_axis(member[:rows], block, True, axis=1)
+            inside = member.take(ends[0], axis=1) & member.take(ends[1], axis=1)
+            yield size, block, inside
+
+
+def _table_entries(graph: Graph, n_nodes: int, max_set_size: int) -> int:
+    """Entries of a component's padded tables, each size in one block."""
+    sizes = range(3, min(max_set_size, n_nodes) + 1, 2)
+    return graph.n_edges * sum(-(-math.comb(n_nodes, size) // 4) * 4 for size in sizes)
+
+
+def best_violated_oddset(graph: Graph, x, max_set_size: int = 9, tables: dict | None = None):
     """Most violated odd-set inequality over the support's components.
 
     Returns (violation, node tuple) with the raw violation of the inequality
@@ -177,6 +211,12 @@ def best_violated_oddset(graph: Graph, x, max_set_size: int = 9):
     first subset in (size, lexicographic) order.  The component restriction
     is lossless whenever the query satisfies the degree constraints.  Each
     odd size of each component is one matrix product over 0/1 edge rows.
+
+    `tables` keeps those rows between calls: it maps a component's node
+    tuple to its blocks, and after the call it holds exactly this call's
+    components whose tables fit in _BLOCK_ENTRIES entries; larger ones are
+    built block by block and dropped.  One dict serves one graph and one
+    max_set_size.  The scores do not depend on whether a block was kept.
     """
     x = as_vector(x)
     if x.shape[0] != graph.n_edges:
@@ -184,30 +224,22 @@ def best_violated_oddset(graph: Graph, x, max_set_size: int = 9):
     if max_set_size < 3:
         raise ValueError("odd sets start at size 3")
     comp, n_comp = _support_components(graph, x)
-    ends = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
-    block_rows = max(1, _BLOCK_ENTRIES // max(1, graph.n_edges))
-    winners = []  # (violation, size, node tuple) of each component and size
+    tables = {} if tables is None else tables
+    previous = tables.copy()
+    tables.clear()
+    winners = []  # (violation, size, node tuple) of each block
     for cid in range(n_comp):
-        nodes = np.flatnonzero(comp == cid)
-        for size in range(3, min(max_set_size, nodes.size) + 1, 2):
-            subsets = itertools.combinations(nodes.tolist(), size)
-            while True:
-                flat = itertools.chain.from_iterable(itertools.islice(subsets, block_rows))
-                block = np.fromiter(flat, dtype=np.intp).reshape(-1, size)
-                if block.size == 0:
-                    break
-                rows = block.shape[0]
-                # BLAS sums the rows of a row-major matrix in groups of four,
-                # and a ragged tail, or a lone row, in another order; padding
-                # keeps a subset's score independent of its block.
-                member = np.zeros((-(-rows // 4) * 4, graph.n_nodes), dtype=bool)
-                np.put_along_axis(member[:rows], block, True, axis=1)
-                inside = member.take(ends[0], axis=1) & member.take(ends[1], axis=1)
-                matrix = inside.astype(float, order="C")
-                viol = (matrix @ x)[:rows] - (size - 1) / 2.0
-                row = int(np.argmax(viol))
-                if viol[row] > 0.0:
-                    winners.append((float(viol[row]), size, tuple(block[row].tolist())))
+        nodes = tuple(np.flatnonzero(comp == cid).tolist())
+        if nodes in previous:
+            tables[nodes] = previous[nodes]
+        elif _table_entries(graph, len(nodes), max_set_size) <= _BLOCK_ENTRIES:
+            tables[nodes] = list(_oddset_blocks(graph, nodes, max_set_size))
+        blocks = tables[nodes] if nodes in tables else _oddset_blocks(graph, nodes, max_set_size)
+        for size, block, inside in blocks:
+            viol = (inside.astype(float, order="C") @ x)[: block.shape[0]] - (size - 1) / 2.0
+            row = int(np.argmax(viol))
+            if viol[row] > 0.0:
+                winners.append((float(viol[row]), size, tuple(block[row].tolist())))
     if not winners:
         return 0.0, None
     viol, _, subset = min(winners, key=lambda w: (-w[0], w[1], w[2]))
@@ -224,21 +256,6 @@ def oddset_constraint(graph: Graph, subset) -> Constraint:
             a[j] = 1.0 / scale
     name = "oddset:" + "|".join(str(v) for v in sorted(subset))
     return Constraint(a, 1.0, ConstraintForm.POLAR, name)
-
-
-def separate_oddset(graph: Graph, x, max_set_size: int = 9) -> SeparationResult:
-    """Return the most violated blossom inequality, polar-normalized.
-
-    Ranking and the violation threshold use the inequality as written; the
-    returned row is rescaled to right-hand side 1, so its reported violation
-    is the raw one divided by (|U| - 1) / 2.
-    """
-    x = as_vector(x)
-    raw, subset = best_violated_oddset(graph, x, max_set_size)
-    if subset is None or raw <= VIOLATION_TOL:
-        return Inside()
-    cons = oddset_constraint(graph, subset)
-    return Violated(cons, cons.violation(x))
 
 
 # -- clique separation ------------------------------------------------------
@@ -499,10 +516,13 @@ class MatchingOracle(SeparationOracle):
 
     Returns the row with the biggest absolute violation; degree rows win
     exact ties.  Logs a warning when the odd-set size cap was binding for a
-    query declared inside.
+    query declared inside.  Keeps the odd-set tables of the last query's
+    support components, which the next query often repeats.
     """
 
     def __init__(self, graph: Graph, max_set_size: int = 9):
+        if max_set_size < 3:
+            raise ValueError("odd sets start at size 3")
         self.graph = graph
         self.max_set_size = max_set_size
         self.dimension = graph.n_edges
@@ -510,6 +530,7 @@ class MatchingOracle(SeparationOracle):
         self.radius_inner = 1.0 / float(np.sqrt(graph.n_edges))
         self._incidence = graph.incident_edges()
         self._warned_cap = False
+        self._oddset_tables: dict = {}
 
     def separate(self, x) -> SeparationResult:
         x = as_vector(x)
@@ -524,7 +545,9 @@ class MatchingOracle(SeparationOracle):
             viol = float(sum(x[j] for j in inc[v])) - 1.0
             if viol > best_deg:
                 best_deg, best_node = viol, v
-        odd_viol, subset = best_violated_oddset(self.graph, x, self.max_set_size)
+        odd_viol, subset = best_violated_oddset(
+            self.graph, x, self.max_set_size, self._oddset_tables
+        )
         if best_deg >= odd_viol and best_deg > VIOLATION_TOL:
             cons = degree_constraint(self.graph, best_node)
             return Violated(cons, cons.violation(x))

@@ -68,6 +68,8 @@ class ExperimentConfig:
             raise ValueError("iteration cap must be positive")
         if self.lp_check_every < 1:
             raise ValueError("lp_check_every must be >= 1")
+        if self.max_set_size < 3:
+            raise ValueError("max_set_size must be >= 3: odd sets start at size 3")
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> ExperimentConfig:

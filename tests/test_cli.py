@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
+from oracleopt import harness
 from oracleopt.certificates import certificate_to_text
 from oracleopt.cli import _build_parser, _row_matches_instance, main
 from oracleopt.combinatorial import (
@@ -65,6 +66,17 @@ def test_run_bad_config_is_error(tmp_path):
     config = tmp_path / "bad.conf"
     config.write_text("problem = sudoku\n")
     assert main(["run", "--config", str(config)]) == 1
+
+
+def test_run_rejects_max_set_size_below_three(tmp_path, monkeypatch, capsys):
+    # The config is refused before the instance and its optimum are built.
+    built = []
+    monkeypatch.setattr(harness, "build_instance", lambda *args: built.append(args))
+    code = main(["run", "--problem", "matching", "--nodes", "9", "--triangles", "3",
+                 "--max-set-size", "2", "--out", str(tmp_path)])
+    assert code == 1
+    assert built == []
+    assert "max_set_size must be >= 3" in capsys.readouterr().err
 
 
 def test_verify_round_trip_with_instance(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -47,16 +48,29 @@ def all_matchings(graph: Graph):
     return out
 
 
-def componentwise_oddset(graph: Graph, x, max_set_size):
-    """Reference: first most violated odd set, in (size, lexicographic) order,
-    inside one connected component of the support {e : x_e > 1e-9}."""
-    x = np.asarray(x, dtype=float)
+def support_labels(graph: Graph, x):
+    """A component label per node of the support {e : x_e > 1e-9}, and its nodes."""
     comp = list(range(graph.n_nodes))
     for j, (u, v) in enumerate(graph.edges):
         if x[j] > 1e-9:
             cu, cv = comp[u], comp[v]
             comp = [cu if c == cv else c for c in comp]
     support = {u for j, e in enumerate(graph.edges) if x[j] > 1e-9 for u in e}
+    return comp, support
+
+
+def support_components(graph: Graph, x):
+    """The support's components as sorted node tuples."""
+    comp, support = support_labels(graph, x)
+    labels = {comp[v] for v in support}
+    return {tuple(v for v in sorted(support) if comp[v] == label) for label in labels}
+
+
+def componentwise_oddset(graph: Graph, x, max_set_size):
+    """Reference: first most violated odd set, in (size, lexicographic) order,
+    inside one connected component of the support {e : x_e > 1e-9}."""
+    x = np.asarray(x, dtype=float)
+    comp, support = support_labels(graph, x)
     best, best_set = 0.0, None
     for k in range(3, max_set_size + 1, 2):
         for subset in itertools.combinations(sorted(support), k):
@@ -129,6 +143,48 @@ class TestGenerators:
         assert random_gnp(12, 0.4, seed=3) == random_gnp(12, 0.4, seed=3)
 
 
+# Two K5s on nodes 0-4 and 5-9, the bridge (4, 5) and a triangle on 10-12.
+BRIDGED_K5S = make_graph(
+    13,
+    list(itertools.combinations(range(5), 2))
+    + list(itertools.combinations(range(5, 10), 2))
+    + [(4, 5), (10, 11), (11, 12), (10, 12)],
+)
+
+
+def bridged_k5_queries(rng):
+    """Queries on BRIDGED_K5S that repeat, change and split their support."""
+    g = BRIDGED_K5S
+    first = np.array([u < 5 and v < 5 for u, v in g.edges])
+    second = np.array([5 <= u and v < 10 for u, v in g.edges])
+    triangle = np.array([u >= 10 for u, _ in g.edges])
+    bridge = np.array([(u, v) == (4, 5) for u, v in g.edges])
+
+    def on(mask):
+        return np.where(mask, rng.uniform(0.35, 0.5, g.n_edges), 0.0)
+
+    whole = on(first | second | triangle | bridge)
+    split = on(first | second | triangle)
+    piece = on(first | second | triangle)
+    piece[[g.edges.index(e) for e in [(0, 1), (0, 2), (0, 3), (0, 4)]]] = 0.0
+    return [
+        whole,
+        whole,  # the same query again
+        on(first | second | triangle | bridge),  # same support, new values
+        split,  # the bridge drops out: three components
+        on(first),  # one K5 ...
+        on(second),  # ... then the other, of the same size
+        on(second | triangle),
+        piece,  # node 0 leaves the first K5
+        on(first | second | triangle | bridge),
+    ]
+
+
+def kept_entries(graph: Graph, k: int, cap: int) -> int:
+    """Table entries of a k-node component: its odd subsets, padded to fours."""
+    return graph.n_edges * sum(-(-math.comb(k, s) // 4) * 4 for s in range(3, min(cap, k) + 1, 2))
+
+
 class TestOddsetSeparation:
     def test_triangle_at_half(self):
         result = MatchingOracle(K3, max_set_size=3).separate([0.5, 0.5, 0.5])
@@ -152,6 +208,8 @@ class TestOddsetSeparation:
     def test_cap_below_three_rejected(self):
         with pytest.raises(ValueError):
             best_violated_oddset(K3, [0.5, 0.5, 0.5], max_set_size=2)
+        with pytest.raises(ValueError, match="size 3"):
+            MatchingOracle(K3, max_set_size=2)
 
     def test_agrees_with_uncapped_enumeration(self):
         rng = np.random.default_rng(67)
@@ -211,6 +269,60 @@ class TestOddsetSeparation:
             assert raw == pytest.approx(ref_raw, abs=1e-12)
             found.add(len(subset))
         assert found == {5, 7}
+
+    @pytest.mark.parametrize("block_rows", [None, 8, 1])
+    def test_oracle_tables_match_fresh_calls(self, block_rows, monkeypatch):
+        # None keeps every component, 8 rows keeps the triangle and streams
+        # the K5s in blocks, 1 row streams everything one subset at a time.
+        g = BRIDGED_K5S
+        if block_rows is not None:
+            monkeypatch.setattr(combinatorial, "_BLOCK_ENTRIES", block_rows * g.n_edges)
+        original = combinatorial.best_violated_oddset
+        calls = []
+
+        def recording(graph, x, max_set_size=9, tables=None):
+            result = original(graph, x, max_set_size, tables)
+            calls.append((np.array(x), result))
+            return result
+
+        monkeypatch.setattr(combinatorial, "best_violated_oddset", recording)
+        oracle = MatchingOracle(g, max_set_size=5)
+        queries = bridged_k5_queries(np.random.default_rng(3))
+        for x in queries:
+            got = oracle.separate(x)
+            expected = MatchingOracle(g, max_set_size=5).separate(x)
+            assert type(got) is type(expected)
+            if isinstance(expected, Violated):
+                assert got.constraint.name == expected.constraint.name
+                assert np.array_equal(got.constraint.a, expected.constraint.a)
+                assert got.violation == expected.violation
+        assert len(calls) == 2 * len(queries)
+        for x, (viol, subset) in calls[::2]:
+            fresh_viol, fresh_subset = original(g, x, 5)
+            assert viol == fresh_viol
+            assert subset == fresh_subset
+        assert sum(subset is not None for _, (_, subset) in calls[::2]) >= len(queries) - 2
+
+    def test_oracle_keeps_only_this_calls_fitting_components(self, monkeypatch):
+        # 20 rows per kept component: the triangle (4 padded rows) and a
+        # 4-node piece of a K5 (4 + 0) fit, a whole K5 (12 + 4) fits, the
+        # bridged 10-node component never does.
+        g = BRIDGED_K5S
+        monkeypatch.setattr(combinatorial, "_BLOCK_ENTRIES", 20 * g.n_edges)
+        oracle = MatchingOracle(g, max_set_size=5)
+        rng = np.random.default_rng(11)
+        queries = [q for _ in range(7) for q in bridged_k5_queries(rng)][:50]
+        assert len(queries) == 50
+        for x in queries:
+            oracle.separate(x)
+            components = support_components(g, x)
+            fitting = {c for c in components if kept_entries(g, len(c), 5) <= 20 * g.n_edges}
+            assert set(oracle._oddset_tables) == fitting
+            assert len(oracle._oddset_tables) <= 3
+            assert not any(len(c) == 10 for c in oracle._oddset_tables)
+            for blocks in oracle._oddset_tables.values():
+                assert all(inside.dtype == bool for _, _, inside in blocks)
+                assert sum(inside.size for _, _, inside in blocks) <= 20 * g.n_edges
 
     def test_emitted_rows_valid_for_all_matchings(self):
         g = generate_triangle_instance(8, 3, seed=9)
