@@ -130,7 +130,7 @@ class Instance:
     oracle: object
     c: np.ndarray
     initial_rows: list[Constraint]
-    lb: Optional[np.ndarray]
+    lb: np.ndarray
     ub: Optional[np.ndarray]
     opt_ref: Optional[float]
     polar_mode: PolarMode
@@ -170,13 +170,15 @@ def build_instance(config: ExperimentConfig, need_opt: bool) -> Instance:
         rows = _box_rows(d, oracle.radius_outer)
         r_in = oracle.radius_inner
         gamma_std = (r_in if r_in else config.radius / 2) * float(np.linalg.norm(c))
-        return Instance(oracle, c, rows, None, None, opt, PolarMode.STANDARD, gamma_std)
+        free = np.full(d, -np.inf)  # K need not lie in the orthant; the box rows bound it
+        return Instance(oracle, c, rows, free, None, opt, PolarMode.STANDARD, gamma_std)
     if config.problem == "synthetic-polytope":
         d = config.dim
         oracle = box_oracle(-np.ones(d), np.ones(d), radius_inner=1.0)
         c = np.ones(d)
         rows = _box_rows(d, 1.0)
-        return Instance(oracle, c, rows, None, None, float(d), PolarMode.STANDARD, np.sqrt(d))
+        free = np.full(d, -np.inf)
+        return Instance(oracle, c, rows, free, None, float(d), PolarMode.STANDARD, np.sqrt(d))
     raise ValueError(f"unknown problem {config.problem!r}")
 
 
@@ -221,7 +223,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
             instance.oracle,
             instance.c,
             instance.initial_rows,
-            lb=instance.lb if instance.lb is not None else np.full(len(instance.c), -np.inf),
+            lb=instance.lb,
             ub=instance.ub,
             stop=stop,
             max_iters=config.iters,

@@ -8,10 +8,16 @@ algorithm's floating-point operations in the same order, and the tests hold
 it bit for bit to a plain-Python copy.  It powers the cut loop, the shared
 1%-of-optimum stopping bound, the clique-relaxation reference optimum and
 the convex-combination sparsifier.
+
+The stopping bound needs only the optimal value and gains a few rows per
+iteration, so it is warm-started: the new rows join the previous bound's
+final tableau and a dual simplex reoptimizes, which may move the value's
+last bits.  The cut loop and the reference optimum keep the exact solve.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,40 +65,52 @@ class LinearProgram:
 class LPResult:
     x: np.ndarray
     value: float
+    # Final tableau (constraint rows, then the cost row; rhs last), basis and
+    # the columns allowed to enter: where a warm start resumes.
+    final: tuple | None = field(default=None, repr=False)
 
 
 def solve_lp(lp: LinearProgram) -> LPResult:
     """Solve the LP with a two-phase dense primal simplex under Bland's rule.
 
-    Returns a basic optimal solution.  Raises InfeasibleLPError or
-    UnboundedLPError for degenerate inputs.
+    Returns a basic optimal solution and its final tableau.  Raises
+    InfeasibleLPError or UnboundedLPError for degenerate inputs.
     """
     n = lp.objective.shape[0]
     free = np.flatnonzero(np.isneginf(lp.lb))
     bounded = np.flatnonzero(np.isfinite(lp.ub))
-    ncols = n + len(free)  # one mirror column per free variable (x = x+ - x-)
-
-    def stack(rows) -> np.ndarray:
-        return np.array([r.a for r in rows], dtype=float).reshape(len(rows), n)
-
-    le = np.vstack([stack(lp.rows), np.eye(n)[bounded]])
+    le = np.vstack([_stack(lp.rows, n), np.eye(n)[bounded]])
     le_b = np.concatenate([[r.b for r in lp.rows], lp.ub[bounded]])
-    eq = stack(lp.equalities)
     eq_b = np.array([r.b for r in lp.equalities], dtype=float)
+    c, le, eq = (_expand(a, free) for a in (lp.objective, le, _stack(lp.equalities, n)))
+    return _result(lp, _simplex(c, le, le_b, eq, eq_b))
 
-    def expand(a: np.ndarray) -> np.ndarray:
-        out = np.zeros(a.shape[:-1] + (ncols,))
-        out[..., :n] = a
-        out[..., n:] = -a[..., free]
-        return out
 
-    x_full = _simplex(expand(lp.objective), expand(le), le_b, expand(eq), eq_b)
+def _stack(rows, n: int) -> np.ndarray:
+    return np.array([r.a for r in rows], dtype=float).reshape(len(rows), n)
+
+
+def _expand(a: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Append one mirror column per free variable (x = x+ - x-)."""
+    n = a.shape[-1]
+    out = np.zeros(a.shape[:-1] + (n + len(free),))
+    out[..., :n] = a
+    out[..., n:] = -a[..., free]
+    return out
+
+
+def _result(lp: LinearProgram, final: tuple) -> LPResult:
+    n = lp.objective.shape[0]
+    free = np.flatnonzero(np.isneginf(lp.lb))
+    tableau, basis, _ = final
+    x_full = np.zeros(tableau.shape[1] - 1)
+    x_full[basis] = tableau[:-1, -1]
     x = x_full[:n].copy()
-    x[free] -= x_full[n:]
-    return LPResult(x, float(lp.objective @ x))
+    x[free] -= x_full[n : n + len(free)]
+    return LPResult(x, float(lp.objective @ x), final)
 
 
-def _simplex(c, le, le_b, eq, eq_b) -> np.ndarray:
+def _simplex(c, le, le_b, eq, eq_b) -> tuple:
     n_le, ncols = le.shape
     m = n_le + len(eq)
     total = ncols + n_le  # structural + slack columns; artificials appended below
@@ -144,10 +162,7 @@ def _simplex(c, le, le_b, eq, eq_b) -> np.ndarray:
     for i in np.flatnonzero(np.abs(tableau[-1, basis]) > 0):
         tableau[-1, :] -= tableau[-1, basis[i]] * tableau[i, :]
     _iterate(tableau, basis, allowed)
-
-    x = np.zeros(total + n_art)
-    x[basis] = tableau[:m, -1]
-    return x[:ncols]
+    return tableau, basis, allowed
 
 
 def _iterate(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -> None:
@@ -198,16 +213,83 @@ def _pivot(tableau: np.ndarray, row: int, col: int, basis: np.ndarray) -> None:
     basis[row] = col
 
 
+def _dual_iterate(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -> None:
+    """Dual simplex until the rhs is feasible, under Bland's rule for the dual:
+    the infeasible row with the smallest basic index leaves, and the column of
+    minimum ratio enters, ties to the lowest index."""
+    while True:
+        infeasible = (tableau[:-1, -1] < -_PIVOT_TOL).nonzero()[0]
+        if not len(infeasible):
+            return
+        row = infeasible[basis[infeasible].argmin()]
+        entries = tableau[row, :-1]
+        cols = (allowed & (entries < -_PIVOT_TOL)).nonzero()[0]
+        if not len(cols):
+            raise InfeasibleLPError("no entering column for an infeasible row")
+        _pivot(tableau, row, cols[(tableau[-1, cols] / -entries[cols]).argmin()], basis)
+
+
+@dataclass
+class _WarmStart:
+    """The last LP-stop solve: its rows, copies of its objective and bounds,
+    its final tableau and its value."""
+
+    rows: list = field(default_factory=list)
+    fixed: tuple = ()
+    final: tuple | None = None
+    value: float = np.nan
+
+    def solve(self, lp: LinearProgram) -> float:
+        """Optimal value of lp, reoptimized from the kept tableau when lp extends its LP."""
+        fixed = (lp.objective, lp.lb, lp.ub)
+        if not (
+            self.final is not None
+            and len(lp.rows) >= len(self.rows)
+            and all(map(operator.is_, self.rows, lp.rows))
+            and all(map(np.array_equal, self.fixed, fixed))
+        ):
+            res = solve_lp(lp)
+            self.fixed = tuple(v.copy() for v in fixed)  # the caller may change its arrays
+            self.rows, self.final, self.value = lp.rows, res.final, res.value
+            return res.value
+        new = lp.rows[len(self.rows) :]
+        if new:
+            # Each new row gets its own slack column (zero reduced cost) and
+            # has the basic columns eliminated, so the basis stays dual feasible.
+            tableau, basis, allowed = self.final
+            k, m, width = len(new), len(basis), tableau.shape[1] - 1
+            tableau = np.insert(np.insert(tableau, [m] * k, 0.0, axis=0), [width] * k, 0.0, axis=1)
+            a = _expand(_stack(new, len(lp.objective)), np.flatnonzero(np.isneginf(lp.lb)))
+            tableau[m:-1, : a.shape[1]] = a
+            tableau[m:-1, width:-1] = np.eye(k)
+            tableau[m:-1, -1] = [r.b for r in new]
+            for row in tableau[m:-1]:
+                # One kept row after another, in row order, like the phase-2 cost row.
+                coeffs = row[basis]
+                nz = coeffs.nonzero()[0]
+                row[:] = np.subtract.reduce(np.vstack([row, coeffs[nz, None] * tableau[nz]]))
+            basis = np.concatenate([basis, width + np.arange(k)])
+            allowed = np.concatenate([allowed, np.ones(k, dtype=bool)])
+            _dual_iterate(tableau, basis, allowed)
+            _iterate(tableau, basis, allowed)  # reduced costs the dual pivots left below -_COST_TOL
+            self.final = tableau, basis, allowed
+            self.value = _result(lp, self.final).value
+        self.rows = lp.rows
+        return self.value
+
+
 @dataclass
 class LPStopContext:
-    """Fixed pieces of the shared LP stopping bound: initial rows and bounds."""
+    """Fixed pieces of the shared LP stopping bound (initial rows and bounds),
+    plus the last bound's final tableau, from which the next one resumes."""
 
     rows: list[Constraint]
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
+    warm: _WarmStart = field(default_factory=_WarmStart, repr=False, compare=False)
 
     def value(self, c, separated) -> float:
-        return lp_stop_bound(self.rows, separated, c, lb=self.lb, ub=self.ub)
+        return lp_stop_bound(self.rows, separated, c, lb=self.lb, ub=self.ub, warm=self.warm)
 
 
 @dataclass
@@ -219,11 +301,14 @@ class CutLoopResult:
     converged: bool
 
 
-def lp_stop_bound(initial_constraints, separated, c, lb=None, ub=None) -> float:
+def lp_stop_bound(initial_constraints, separated, c, lb=None, ub=None, warm=None) -> float:
     """Optimal value of the relaxation given by initial plus separated rows.
 
     This is the quantity all methods share for the 1%-of-optimum stopping
-    test.
+    test.  When the rows extend those of `warm`'s last call (the same
+    Constraint objects, in order), the new ones are appended to its final
+    tableau and reoptimized; otherwise, and without `warm`, the LP is solved
+    from scratch.
     """
     lp = LinearProgram(
         objective=as_vector(c),
@@ -231,7 +316,7 @@ def lp_stop_bound(initial_constraints, separated, c, lb=None, ub=None) -> float:
         lb=lb,
         ub=ub,
     )
-    return solve_lp(lp).value
+    return (_WarmStart() if warm is None else warm).solve(lp)
 
 
 def cut_loop(

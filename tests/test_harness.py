@@ -190,6 +190,22 @@ class TestRunExperiment:
                 cols = row.split(",")
                 assert float(cols[3]) >= float(cols[2]) - 1e-9
 
+    @pytest.mark.parametrize("method", ["polar", "general"])
+    def test_lp_stop_bound_relaxes_a_ball_reaching_below_zero(self, method, tmp_path):
+        # The disc of radius 1 around (-0.9, 0) is mostly in x0 < 0: an LP
+        # that added x >= 0 would fall below the optimum and stop early.
+        config = load_config(
+            None,
+            {"problem": "synthetic-ball", "method": method, "dim": 2, "center_offset": -0.9,
+             "radius": 1.0, "stop": "lp1pct", "out": str(tmp_path)},
+        )
+        _, trace_path = run_experiment(config)
+        opt = -0.9 + np.sqrt(2.0)
+        rows = [line.split(",") for line in open(trace_path).read().splitlines()[1:]]
+        bounds = [float(cols[6]) for cols in rows if cols[6]]
+        assert len(bounds) >= 5
+        assert min(bounds) >= opt - 1e-9 * (1 + abs(opt))
+
     def test_optimal_init_needs_computable_optimum(self):
         config = load_config(
             None,

@@ -4,15 +4,24 @@ import numpy as np
 import pytest
 
 from oracleopt import lp_baseline
+from oracleopt.combinatorial import (
+    MatchingOracle,
+    brute_force_matching_opt,
+    generate_triangle_instance,
+    matching_initial_rows,
+)
+from oracleopt.corrective import fully_corrective, segment_only
 from oracleopt.lp_baseline import (
     InfeasibleLPError,
     LinearProgram,
+    LPStopContext,
     UnboundedLPError,
     cut_loop,
     lp_stop_bound,
     solve_lp,
 )
 from oracleopt.oracle import BallOracle, Constraint
+from oracleopt.solver_polar import PolarMode, run_polar
 from oracleopt.trace import LPStop
 
 _PIVOT_TOL = lp_baseline._PIVOT_TOL
@@ -251,6 +260,22 @@ def outcome(solve, lp):
     return "optimal", x.tobytes(), value
 
 
+def highs(lp: LinearProgram):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    return linprog(
+        -lp.objective,
+        A_ub=np.array([r.a for r in lp.rows]) if lp.rows else None,
+        b_ub=[r.b for r in lp.rows] or None,
+        A_eq=np.array([r.a for r in lp.equalities]) if lp.equalities else None,
+        b_eq=[r.b for r in lp.equalities] or None,
+        bounds=[
+            (None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
+            for lo, hi in zip(lp.lb, lp.ub)
+        ],
+        method="highs",
+    )
+
+
 def enumerate_vertices_value(c, rows, lb, ub):
     """Reference optimum: try every intersection of n active constraints.
 
@@ -417,23 +442,11 @@ class TestSolveLP:
             assert basis.tolist() == expected_basis.tolist()
 
     def test_agrees_with_highs(self):
-        linprog = pytest.importorskip("scipy.optimize").linprog
         rng = np.random.default_rng(7)
         for k in range(40 * len(FAMILIES)):
             family = FAMILIES[k % len(FAMILIES)]
             lp = random_lp(rng, family)
-            ref = linprog(
-                -lp.objective,
-                A_ub=np.array([r.a for r in lp.rows]) if lp.rows else None,
-                b_ub=[r.b for r in lp.rows] or None,
-                A_eq=np.array([r.a for r in lp.equalities]) if lp.equalities else None,
-                b_eq=[r.b for r in lp.equalities] or None,
-                bounds=[
-                    (None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
-                    for lo, hi in zip(lp.lb, lp.ub)
-                ],
-                method="highs",
-            )
+            ref = highs(lp)
             expected = {0: "optimal", 2: "InfeasibleLPError", 3: "UnboundedLPError"}[ref.status]
             kind, _, value = outcome(vectorized_solve_lp, lp)
             assert kind == expected, (k, family)
@@ -532,3 +545,129 @@ class TestLPStopBound:
         rule = LPStop(opt_ref=10.0)
         assert rule.satisfied(gamma=0, bound=0, lp_value=10.05)
         assert not rule.satisfied(gamma=0, bound=0, lp_value=10.2)
+
+
+def warm_start_run(rng, family: str):
+    """An LP-stop run in miniature: fixed initial rows and bounds, then the
+    rows each call appends to the separated list (0 to 3 of mixed kinds:
+    0/1 packing rows, nonneg:j rows with b = 0 and Gaussian rows)."""
+    n = int(rng.integers(1, 10))
+    free = rng.random(n) < 0.5 if family == "free" else np.zeros(n, dtype=bool)
+    lb = np.where(free, -np.inf, 0.0)
+    ub = np.where(rng.random(n) < 0.6, 1.0, np.inf)
+    initial = []
+    for j in range(n):  # box the unbounded directions
+        e = np.eye(n)[j]
+        if np.isinf(ub[j]):
+            initial.append(Constraint(e, 2.0))
+        if free[j]:
+            initial.append(Constraint(-e, 2.0))
+    c = np.ones(n) if family == "packing" else rng.normal(size=n)
+    steps = []
+    for _ in range(int(rng.integers(1, 15))):
+        rows = []
+        for _ in range(int(rng.integers(0, 4))):
+            kind = rng.random()
+            if kind < 0.4:
+                rows.append(Constraint((rng.random(n) < 0.5).astype(float), 1.0))
+            elif kind < 0.6:
+                j = int(rng.integers(n))
+                rows.append(Constraint(-np.eye(n)[j], 0.0, name=f"nonneg:{j}"))
+            else:
+                rows.append(Constraint(rng.normal(size=n), float(rng.uniform(-0.5, 2.0))))
+        steps.append(rows)
+    return c, initial, lb, ub, steps
+
+
+class TestWarmStartedLPStopBound:
+    def test_matches_fresh_solve_and_highs(self, monkeypatch):
+        fresh_solves = []
+        real_solve = lp_baseline.solve_lp
+        monkeypatch.setattr(
+            lp_baseline, "solve_lp", lambda lp: fresh_solves.append(lp) or real_solve(lp)
+        )
+        rng = np.random.default_rng(31)
+        calls = infeasible = 0
+        for k in range(150):
+            c, initial, lb, ub, steps = warm_start_run(rng, ("packing", "gaussian", "free")[k % 3])
+            context = LPStopContext(rows=initial, lb=lb, ub=ub)
+            separated = []
+            for rows in steps:
+                separated.extend(rows)
+                lp = LinearProgram(objective=c, rows=initial + separated, lb=lb, ub=ub)
+                try:
+                    fresh = real_solve(lp).value
+                except InfeasibleLPError:
+                    with pytest.raises(InfeasibleLPError):
+                        context.value(c, separated)
+                    infeasible += 1
+                    break
+                got = context.value(c, separated)
+                calls += 1
+                assert abs(got - fresh) <= 1e-12 * (1 + abs(fresh)), (k, got, fresh)
+                assert got == pytest.approx(-highs(lp).fun, rel=1e-7, abs=1e-7), k
+        assert calls > 900 and infeasible > 0, (calls, infeasible)
+        assert len(fresh_solves) == 150  # only each run's first call starts from scratch
+
+    def test_call_without_new_rows_returns_the_kept_value_without_pivots(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        c, initial, lb, ub, _ = warm_start_run(rng, "gaussian")
+        context = LPStopContext(rows=initial, lb=lb, ub=ub)
+        separated = [Constraint(rng.normal(size=len(c)), 0.5) for _ in range(3)]
+        value = context.value(c, separated)
+        moves = []
+        monkeypatch.setattr(lp_baseline, "_pivot", lambda *args: moves.append(args))
+        monkeypatch.setattr(lp_baseline, "solve_lp", lambda lp: moves.append(lp))
+        assert context.value(c, separated) == value
+        assert moves == []
+
+    @pytest.mark.parametrize(
+        "change", ["objective", "objective_in_place", "copied_rows", "fewer_rows"]
+    )
+    def test_falls_back_to_a_fresh_solve(self, change):
+        # K3 edge variables: degree rows, then a blossom row and a bound row.
+        degree = [
+            Constraint(np.array([1.0, 1.0, 0.0]), 1.0),
+            Constraint(np.array([1.0, 0.0, 1.0]), 1.0),
+            Constraint(np.array([0.0, 1.0, 1.0]), 1.0),
+        ]
+        separated = [Constraint(np.ones(3), 1.0), Constraint(np.array([0.0, 0.0, 1.0]), 0.25)]
+        bounds = dict(lb=np.zeros(3), ub=np.ones(3))
+        context = LPStopContext(rows=degree, **bounds)
+        c = np.array([1.0, 2.0, 3.0])
+        context.value(c, separated)
+        if change == "objective":
+            c = np.array([3.0, 2.0, 1.0])
+        elif change == "objective_in_place":
+            c[:] = [3.0, 2.0, 1.0]
+        elif change == "copied_rows":
+            separated = [Constraint(r.a.copy(), r.b) for r in separated[:1]] + [
+                Constraint(np.array([1.0, 0.0, 0.0]), 0.5)
+            ]
+        else:
+            separated = separated[:1]
+        fresh = solve_lp(LinearProgram(objective=c, rows=degree + separated, **bounds)).value
+        assert context.value(c, separated) == fresh
+        assert context.value(c, separated) == lp_stop_bound(degree, separated, c, **bounds)
+
+    def test_context_reused_across_runs_gives_the_fresh_traces(self):
+        graph = generate_triangle_instance(12, 5, 0)
+        rows = matching_initial_rows(graph, "basic")
+        d = graph.n_edges
+
+        def run(context, strategy):
+            res = run_polar(
+                MatchingOracle(graph, max_set_size=graph.n_nodes), np.ones(d), gamma1=1.0,
+                mode=PolarMode.PACKING, initial_constraints=rows, lp_context=context,
+                stop=LPStop(opt_ref=float(brute_force_matching_opt(graph))), max_iters=60,
+                strategy=strategy,
+            )
+            assert any(row.lp_bound is not None for row in res.trace)
+            return res.trace.to_csv()
+
+        def context():
+            return LPStopContext(rows=rows, lb=np.zeros(d), ub=np.ones(d))
+
+        shared = context()
+        for strategy in (segment_only(), fully_corrective(1), segment_only()):
+            assert run(shared, strategy) == run(context(), strategy)

@@ -12,6 +12,7 @@ from oracleopt.combinatorial import (
     make_graph,
     matching_initial_rows,
 )
+from oracleopt import lp_baseline
 from oracleopt.harness import load_config, run_experiment
 from oracleopt.lp_baseline import LPStopContext
 from oracleopt.oracle import BallOracle
@@ -82,6 +83,29 @@ def test_lp_bound_only_on_checked_iterations(method):
     assert len(res.trace) >= 3
     for row in res.trace:
         assert (row.lp_bound is not None) == (row.t % 3 == 0)
+
+
+@pytest.mark.parametrize("method", ["polar", "general"])
+def test_one_lp_stop_bound_call_per_lp_evaluation(method, monkeypatch):
+    # The benchmark's traced run counts lp_stop_bound calls against these
+    # rows and reads the separated list as the second positional argument.
+    calls = []
+    real = lp_baseline.lp_stop_bound
+
+    def recording(*args, **kwargs):
+        calls.append((args, real(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(lp_baseline, "lp_stop_bound", recording)
+    args = _matching_run_args(generate_triangle_instance(15, 11, 1))
+    args["stop"] = LPStop(opt_ref=args["stop"].opt_ref, every=3)
+    res = _run(method, max_iters=40, **args)
+    checked = [row.lp_bound for row in res.trace if row.lp_bound is not None]
+    assert checked
+    assert [value for _, value in calls] == [calls[0][1]] + checked
+    separated = calls[0][0][1]
+    assert all(len(a) >= 2 and a[1] is separated for a, _ in calls)
+    assert len(separated) > 0
 
 
 @pytest.mark.parametrize("method", ["polar", "general"])
