@@ -17,7 +17,6 @@ from .corrective import (
     partially_corrective,
     segment_only,
     segment_plus_nonneg,
-    sparsify,
 )
 from .geometry import min_piecewise_quadratic_on_segment, project_point_to_segment
 from .lp_baseline import (

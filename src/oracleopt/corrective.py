@@ -3,10 +3,10 @@
 The default solver update projects onto a two-point segment.  The
 strategies here trade more work per iteration for faster convergence:
 full or partial projection onto the convex hull of all known constraints
-(a min-norm-point computation), periodic sparsification of the maintained
-convex combination, and an orthant-aware segment update for packing
-problems.  Every strategy keeps the segment update's distance guarantee:
-its output is never farther from the target than the plain projection.
+(a min-norm-point computation) and an orthant-aware segment update for
+packing problems.  Every strategy keeps the segment update's distance
+guarantee: its output is never farther from the target than the plain
+projection.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from typing import Optional
 import numpy as np
 
 from .geometry import as_vector, min_piecewise_quadratic_on_segment
-from .lp_baseline import InfeasibleLPError, LinearProgram, solve_lp
-from .oracle import Constraint
 
 _OPT_TOL = 1e-10
 
@@ -38,16 +36,15 @@ class UpdateStrategy:
 
     frequency k means a corrective step runs at the end of every k-th
     iteration; support_cap bounds the atom subset used by the partially
-    corrective variant; sparsify_every triggers periodic support reduction.
+    corrective variant.
     """
 
     kind: StrategyKind = StrategyKind.SEGMENT_ONLY
     frequency: int = 1
     support_cap: Optional[int] = None
-    sparsify_every: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind is StrategyKind.FULLY_CORRECTIVE and self.frequency < 1:
+        if self.frequency < 1:
             raise ValueError("corrective frequency must be >= 1")
         if self.kind is StrategyKind.PARTIALLY_CORRECTIVE:
             if self.support_cap is not None and self.support_cap < 2:
@@ -59,12 +56,12 @@ class UpdateStrategy:
         return False
 
 
-def segment_only(sparsify_every: Optional[int] = None) -> UpdateStrategy:
-    return UpdateStrategy(StrategyKind.SEGMENT_ONLY, sparsify_every=sparsify_every)
+def segment_only() -> UpdateStrategy:
+    return UpdateStrategy(StrategyKind.SEGMENT_ONLY)
 
 
-def fully_corrective(k: int = 1, sparsify_every: Optional[int] = None) -> UpdateStrategy:
-    return UpdateStrategy(StrategyKind.FULLY_CORRECTIVE, frequency=k, sparsify_every=sparsify_every)
+def fully_corrective(k: int = 1) -> UpdateStrategy:
+    return UpdateStrategy(StrategyKind.FULLY_CORRECTIVE, frequency=k)
 
 
 def partially_corrective(cap: Optional[int] = None, k: int = 1) -> UpdateStrategy:
@@ -242,57 +239,6 @@ def partially_corrective_update(
     for wj, i in zip(res.weights, support):
         full[i] = wj
     return MinNormResult(point=res.point, weights=full, slack=res.slack, converged=res.converged)
-
-
-@dataclass
-class SparsifyResult:
-    point: np.ndarray
-    weights: np.ndarray
-    lam: float
-
-
-def sparsify(q, f, atoms, weights) -> SparsifyResult:
-    """Re-express q with few atoms while greedily moving toward f.
-
-    Solves max lam s.t. q + lam (f - q) in conv(atoms), lam in [0, 1], and
-    returns a basic solution's weights, so the support has at most n + 1
-    nonzeros (at most n whenever the ray variable is basic).  The movement
-    cap at 1 keeps ||point - f|| <= ||q - f||; past lam = 1 the point is f
-    itself, already the best the ray offers.
-    """
-    q = as_vector(q)
-    f = as_vector(f)
-    atom_matrix = np.array([as_vector(a) for a in atoms], dtype=float)
-    m, n = atom_matrix.shape
-    direction = f - q
-
-    def build(q_eff: np.ndarray) -> LinearProgram:
-        # Variables: mu_1..mu_m, lam.  Equalities: atoms^T mu - lam*d = q_eff
-        # and sum(mu) = 1.
-        eqs = []
-        for i in range(n):
-            a = np.append(atom_matrix[:, i], -direction[i])
-            eqs.append(Constraint(a, float(q_eff[i]), name=f"coord:{i}"))
-        eqs.append(Constraint(np.append(np.ones(m), 0.0), 1.0, name="simplex"))
-        objective = np.zeros(m + 1)
-        objective[-1] = 1.0
-        ub = np.append(np.full(m, np.inf), 1.0)
-        return LinearProgram(objective=objective, equalities=eqs, ub=ub)
-
-    try:
-        res = solve_lp(build(q))
-    except InfeasibleLPError:
-        # Numerical drift between q and its stored combination: renormalize
-        # the weights and retry against the combination they actually encode.
-        w = np.maximum(as_vector(weights), 0.0)
-        w = w / w.sum()
-        res = solve_lp(build(w @ atom_matrix))
-
-    mu = np.maximum(res.x[:m], 0.0)
-    mu = mu / mu.sum()
-    lam = float(min(max(res.x[m], 0.0), 1.0))
-    point = mu @ atom_matrix
-    return SparsifyResult(point=point, weights=mu, lam=lam)
 
 
 def nonneg_corrective_update(f_next, q_t, v) -> tuple[np.ndarray, float]:

@@ -6,8 +6,7 @@ LP bounds in every trace, so it is kept exact rather than swapped for a
 faster method: its inner loops run in numpy but perform the scalar
 algorithm's floating-point operations in the same order, and the tests hold
 it bit for bit to a plain-Python copy.  It powers the cut loop, the shared
-1%-of-optimum stopping bound, the clique-relaxation reference optimum and
-the convex-combination sparsifier.
+1%-of-optimum stopping bound and the clique-relaxation reference optimum.
 
 The stopping bound needs only the optimal value and gains a few rows per
 iteration, so it is warm-started: the new rows join the previous bound's

@@ -235,7 +235,7 @@ def run_general(
         R = oracle.radius_outer
     strategy = strategy or corr.segment_only()
     kinds = (corr.StrategyKind.SEGMENT_ONLY, corr.StrategyKind.FULLY_CORRECTIVE)
-    if strategy.kind not in kinds or strategy.sparsify_every:
+    if strategy.kind not in kinds:
         raise ValueError("the general solver takes segment or fully corrective updates only")
     stop = stop or CapOnly()
 

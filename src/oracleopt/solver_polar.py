@@ -178,14 +178,6 @@ def polar_step(
 
     _update_aggregate(state, anchor, strategy)
 
-    if strategy.sparsify_every and state.t % strategy.sparsify_every == 0:
-        if state.mode is PolarMode.PACKING:
-            raise ValueError("sparsification is not supported in packing mode")
-        res = corr.sparsify(state.aggregate, state.target, state.atom_matrix(), state.weights)
-        if np.linalg.norm(state.target - res.point) <= state.residual + 1e-9:
-            state.aggregate = res.point
-            state.weights = res.weights
-
     if state.t % _RENORM_EVERY == 0:
         w = np.maximum(state.weights, 0.0)
         state.weights = w / w.sum()

@@ -9,6 +9,7 @@ import logging
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -443,5 +444,5 @@ def test_criterion_10_trace_determinism(tmp_path):
                 out = tmp_path / f"{i}-{attempt}"
                 config = load_config(None, dict(overrides, out=str(out)))
                 _, trace_path = run_experiment(config)
-                blobs.append(open(trace_path, "rb").read())
+                blobs.append(Path(trace_path).read_bytes())
             assert blobs[0] == blobs[1]

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from oracleopt.corrective import (
+    StrategyKind,
+    UpdateStrategy,
+    fully_corrective,
     min_norm_point,
     nonneg_corrective_update,
+    partially_corrective,
     partially_corrective_update,
-    sparsify,
 )
 from oracleopt.geometry import project_point_to_segment
 
@@ -63,6 +66,18 @@ class TestMinNormPoint:
             for a in atoms:
                 assert float((target - res.point) @ (a - res.point)) <= 1e-6
 
+    def test_support_at_most_dimension_plus_one(self):
+        # The active set stays affinely independent, so the weights use at
+        # most n + 1 atoms.  Targets inside the hull (small scales) meet the bound.
+        rng = np.random.default_rng(37)
+        for _ in range(300):
+            m, n = int(rng.integers(2, 31)), int(rng.integers(1, 9))
+            atoms = rng.normal(size=(m, n))
+            target = rng.uniform(0.0, 3.0) * rng.normal(size=n)
+            res = min_norm_point(target, atoms)
+            assert res.converged
+            assert np.sum(res.weights > 1e-9) <= n + 1
+
     def test_recession_certified_by_weights_and_slack(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
@@ -82,6 +97,21 @@ class TestMinNormPoint:
     def test_needs_atoms(self):
         with pytest.raises(ValueError):
             min_norm_point([0.0], [])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: partially_corrective(k=0),
+        lambda: fully_corrective(0),
+        lambda: UpdateStrategy(StrategyKind.SEGMENT_ONLY, frequency=0),
+        lambda: UpdateStrategy(StrategyKind.SEGMENT_PLUS_NONNEG, frequency=-1),
+    ],
+    ids=["partially_corrective", "fully_corrective", "segment", "segment_nonneg"],
+)
+def test_frequency_below_one_rejected(make):
+    with pytest.raises(ValueError, match="frequency"):
+        make()
 
 
 class TestCorrectiveUpdates:
@@ -135,45 +165,6 @@ class TestCorrectiveUpdates:
         d_cap = np.linalg.norm(f - capped.point)
         d_full = np.linalg.norm(f - full.point)
         assert d_full - 1e-9 <= d_cap <= d_seg + 1e-9
-
-
-class TestSparsify:
-    def test_target_already_reachable(self):
-        atoms = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        weights = np.array([0.25, 0.25, 0.5])
-        q = weights @ atoms
-        res = sparsify(q, q, atoms, weights)
-        assert np.allclose(res.point, q, atol=1e-8)
-        assert np.linalg.norm(res.point - q) <= 1e-8
-
-    def test_moves_toward_target_with_brute_force_lambda(self):
-        atoms = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.6]])
-        weights = np.array([0.5, 0.5, 0.0])
-        q = weights @ atoms
-        f = np.array([2.0, 2.0])
-        res = sparsify(q, f, atoms, weights)
-        # brute force the movement cap along [q, f]
-        grid = np.linspace(0.0, 1.0, 2001)
-        feasible = []
-        for lam in grid:
-            point = q + lam * (f - q)
-            inner = min_norm_point(point, atoms)
-            if np.linalg.norm(inner.point - point) <= 1e-7:
-                feasible.append(lam)
-        assert res.lam == pytest.approx(max(feasible), abs=1e-3)
-        assert np.linalg.norm(res.point - f) <= np.linalg.norm(q - f) + 1e-9
-
-    def test_basic_weights_small_support(self):
-        rng = np.random.default_rng(47)
-        n = 4
-        atoms = rng.normal(size=(9, n))
-        weights = _project_simplex(rng.uniform(size=9))
-        q = weights @ atoms
-        f = rng.normal(size=n)
-        res = sparsify(q, f, atoms, weights)
-        assert np.sum(res.weights > 1e-9) <= n + 1
-        assert np.allclose(res.weights @ atoms, res.point, atol=1e-8)
-        assert res.weights.sum() == pytest.approx(1.0, abs=1e-8)
 
 
 class TestNonnegCorrectiveUpdate:

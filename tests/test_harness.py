@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -70,7 +72,7 @@ class TestRunExperiment:
         # the ball optimum here is radius * ||c|| = sqrt(2)
         assert summary_row.gamma >= 0.99 * np.sqrt(2.0)
         assert trace_path is not None
-        header = open(trace_path).readline().strip()
+        header = Path(trace_path).read_text().splitlines()[0]
         assert header == "t,step,gamma,dual_bound,residual,oracle_calls,lp_bound"
 
     def test_matching_all_methods_agree_with_stop_rule(self, tmp_path):
@@ -165,7 +167,7 @@ class TestRunExperiment:
             config = load_config(None, dict(overrides, out=str(tmp_path / sub)))
             _, trace_path = run_experiment(config)
             paths.append(trace_path)
-        a, b = (open(p, "rb").read() for p in paths)
+        a, b = (Path(p).read_bytes() for p in paths)
         assert a == b
 
     def test_solver_trace_bound_dominates_gamma(self, tmp_path):
@@ -185,7 +187,7 @@ class TestRunExperiment:
                 },
             )
             _, trace_path = run_experiment(config)
-            rows = open(trace_path).read().splitlines()[1:]
+            rows = Path(trace_path).read_text().splitlines()[1:]
             for row in rows:
                 cols = row.split(",")
                 assert float(cols[3]) >= float(cols[2]) - 1e-9
@@ -201,7 +203,7 @@ class TestRunExperiment:
         )
         _, trace_path = run_experiment(config)
         opt = -0.9 + np.sqrt(2.0)
-        rows = [line.split(",") for line in open(trace_path).read().splitlines()[1:]]
+        rows = [line.split(",") for line in Path(trace_path).read_text().splitlines()[1:]]
         bounds = [float(cols[6]) for cols in rows if cols[6]]
         assert len(bounds) >= 5
         assert min(bounds) >= opt - 1e-9 * (1 + abs(opt))

@@ -10,7 +10,14 @@ from oracleopt.corrective import (
     segment_only,
     segment_plus_nonneg,
 )
-from oracleopt.oracle import BallOracle, Constraint, ConstraintForm, Inside, box_oracle
+from oracleopt.oracle import (
+    BallOracle,
+    Constraint,
+    ConstraintForm,
+    Inside,
+    PolytopeOracle,
+    box_oracle,
+)
 from oracleopt.solver_polar import (
     PolarMode,
     PolarState,
@@ -224,20 +231,28 @@ class TestRunPolar:
                 max_iters=10,
             )
 
-    def test_periodic_sparsification_run(self):
-        oracle = BallOracle(np.zeros(3), 1.0)
+    def test_fully_corrective_run_on_random_polytope(self):
+        # 40 random halfspaces <a, x> <= 1 plus the box [-1, 1]^5: the segment
+        # update needs over a thousand iterations here, the corrective one few.
+        n = 5
+        rng = np.random.default_rng(0)
+        normals = rng.standard_normal((40, n))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        rows = [Constraint(a, 1.0, name=f"half:{i}") for i, a in enumerate(normals)]
+        oracle = PolytopeOracle(
+            rows, box_bounds=(-np.ones(n), np.ones(n)), radius_outer=math.sqrt(n), radius_inner=1.0
+        )
         res = run_polar(
             oracle,
-            [1.0, 0.4, -0.2],
+            rng.uniform(0.1, 1.0, n),
             gamma1=0.5,
             stop=GapStop(0.02),
-            max_iters=2000,
-            strategy=segment_only(sparsify_every=5),
+            max_iters=200,
+            strategy=fully_corrective(5),
         )
         assert res.converged
         assert verify_certificate(res.certificate).passed
-        dim = 3
-        assert int(np.sum(res.state.weights > 1e-9)) <= dim + 1
+        assert int(np.sum(res.state.weights > 1e-9)) <= n + 1
 
     def test_partially_corrective_run(self):
         oracle = box_oracle(-np.ones(4), np.ones(4), radius_inner=1.0)
@@ -252,15 +267,3 @@ class TestRunPolar:
         assert res.converged
         assert verify_certificate(res.certificate).passed
         assert res.gamma == pytest.approx(4.0, rel=0.011)
-
-    def test_sparsify_rejected_in_packing_mode(self):
-        oracle = box_oracle(np.zeros(2), np.ones(2), radius_inner=1.0)
-        with pytest.raises(ValueError, match="packing"):
-            run_polar(
-                oracle,
-                np.ones(2),
-                gamma1=0.5,
-                max_iters=200,
-                mode=PolarMode.PACKING,
-                strategy=segment_only(sparsify_every=3),
-            )
