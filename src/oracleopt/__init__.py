@@ -22,7 +22,7 @@ from .geometry import min_piecewise_quadratic_on_segment, project_point_to_segme
 from .lp_baseline import (
     InfeasibleLPError,
     LinearProgram,
-    LPStopContext,
+    LPStop,
     UnboundedLPError,
     cut_loop,
     lp_stop_bound,
@@ -55,7 +55,7 @@ from .solver_polar import (
     polar_step,
     run_polar,
 )
-from .trace import CapOnly, ConvergenceTrace, GapStop, LPStop, RunResult, StopRule, TraceRow
+from .trace import CapOnly, ConvergenceTrace, GapStop, RunResult, StopRule, TraceRow
 from .trace import InvariantError
 
 __all__ = [name for name in dir() if not name.startswith("_")]

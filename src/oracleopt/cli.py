@@ -90,13 +90,21 @@ def _row_matches_instance(name: str, cons, graph: comb.Graph, problem: str) -> b
 def _cmd_verify(args) -> int:
     with open(args.certificate, encoding="utf-8") as fh:
         cert = certificate_from_text(fh.read())
-    report = verify_certificate(cert)
+    c = R = None
+    if args.instance:
+        with open(args.instance, encoding="utf-8") as fh:
+            graph = comb.parse_dimacs(fh.read())
+        # Every CLI instance maximizes the all-ones objective and lies in the
+        # ball of radius sqrt(dim); the certificate's own copies are not trusted.
+        dim = graph.n_edges if args.problem == "matching" else graph.n_nodes
+        if len(cert.objective) != dim:
+            raise ValueError(f"certificate has dimension {len(cert.objective)}, the instance {dim}")
+        c, R = np.ones(dim), float(np.sqrt(dim))
+    report = verify_certificate(cert, c=c, R=R)
     ok = report.passed
     print(f"aggregation checks: {'pass' if ok else 'FAIL ' + ','.join(report.failures())}")
 
     if args.instance:
-        with open(args.instance, encoding="utf-8") as fh:
-            graph = comb.parse_dimacs(fh.read())
         bad = [
             cons.name
             for cons, mult in cert.rows

@@ -14,7 +14,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -35,20 +34,16 @@ class UpdateStrategy:
     """How a solver recomputes its maintained convex combination.
 
     frequency k means a corrective step runs at the end of every k-th
-    iteration; support_cap bounds the atom subset used by the partially
-    corrective variant.
+    iteration.  The partially corrective variant works on at most 2n atoms
+    in dimension n.
     """
 
     kind: StrategyKind = StrategyKind.SEGMENT_ONLY
     frequency: int = 1
-    support_cap: Optional[int] = None
 
     def __post_init__(self):
         if self.frequency < 1:
             raise ValueError("corrective frequency must be >= 1")
-        if self.kind is StrategyKind.PARTIALLY_CORRECTIVE:
-            if self.support_cap is not None and self.support_cap < 2:
-                raise ValueError("support cap must be >= 2")
 
     def corrective_due(self, t: int) -> bool:
         if self.kind in (StrategyKind.FULLY_CORRECTIVE, StrategyKind.PARTIALLY_CORRECTIVE):
@@ -64,8 +59,8 @@ def fully_corrective(k: int = 1) -> UpdateStrategy:
     return UpdateStrategy(StrategyKind.FULLY_CORRECTIVE, frequency=k)
 
 
-def partially_corrective(cap: Optional[int] = None, k: int = 1) -> UpdateStrategy:
-    return UpdateStrategy(StrategyKind.PARTIALLY_CORRECTIVE, frequency=k, support_cap=cap)
+def partially_corrective(k: int = 1) -> UpdateStrategy:
+    return UpdateStrategy(StrategyKind.PARTIALLY_CORRECTIVE, frequency=k)
 
 
 def segment_plus_nonneg() -> UpdateStrategy:

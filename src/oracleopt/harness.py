@@ -17,11 +17,11 @@ import numpy as np
 
 from . import combinatorial as comb
 from . import corrective as corr
-from .lp_baseline import LPStopContext, cut_loop
+from .lp_baseline import LPStop, cut_loop
 from .oracle import BallOracle, Constraint, box_oracle
 from .solver_general import run_general
 from .solver_polar import PolarMode, run_polar
-from .trace import CapOnly, GapStop, LPStop, RunResult, StopRule
+from .trace import CapOnly, GapStop, RunResult, StopRule
 
 ENV_PREFIX = "ORACLEOPT_"
 
@@ -70,6 +70,9 @@ class ExperimentConfig:
             raise ValueError("lp_check_every must be >= 1")
         if self.max_set_size < 3:
             raise ValueError("max_set_size must be >= 3: odd sets start at size 3")
+        if self.method == "cutloop" and self.stop == "gap":
+            # Its LP value would be both incumbent and bound: a zero gap at once.
+            raise ValueError("the cut loop has no incumbent for stop=gap; use cap or lp1pct")
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -206,13 +209,19 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
     config.validate()
     stop_kind = config.stop
     if stop_kind == "auto":
-        stop_kind = "lp1pct" if config.problem in ("matching", "stableset") else "gap"
+        if config.problem in ("matching", "stableset"):
+            stop_kind = "lp1pct"
+        else:
+            stop_kind = "cap" if config.method == "cutloop" else "gap"
     need_opt = config.init == "optimal" or stop_kind == "lp1pct"
     instance = build_instance(config, need_opt)
     if need_opt and instance.opt_ref is None:
         raise ValueError("this run needs a computable reference optimum")
     if stop_kind == "lp1pct":
-        stop: StopRule = LPStop(opt_ref=instance.opt_ref, every=config.lp_check_every)
+        stop: StopRule = LPStop(
+            instance.opt_ref, instance.initial_rows, instance.lb, instance.ub,
+            every=config.lp_check_every,
+        )
     elif stop_kind == "gap":
         stop = GapStop(rel=config.epsilon)
     else:
@@ -235,7 +244,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
             if config.frequency == 0
             else corr.fully_corrective(config.frequency)
         )
-        lp_context = LPStopContext(rows=instance.initial_rows, lb=instance.lb, ub=instance.ub)
         if config.method == "polar":
             gamma1 = instance.opt_ref if config.init == "optimal" else instance.gamma_standard
             result: RunResult = run_polar(
@@ -247,7 +255,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
                 strategy=strategy,
                 mode=instance.polar_mode,
                 initial_constraints=instance.initial_rows,
-                lp_context=lp_context,
             )
         else:
             result = run_general(
@@ -259,7 +266,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
                 initial_constraints=[
                     c for c in instance.initial_rows if float(np.linalg.norm(c.a)) > 0
                 ],
-                lp_context=lp_context,
             )
         iterations, gamma, bound = result.iterations, result.gamma, result.bound
     summary = ExperimentSummary(

@@ -1,4 +1,4 @@
-"""Dense LP solver and the reference cutting-plane loop.
+"""Dense LP solver, the reference cutting-plane loop and the LP stop rule.
 
 The simplex is a dense two-phase tableau method under Bland's rule.  Which
 optimal vertex it returns sets the cut loop's counts, and its values are the
@@ -6,12 +6,13 @@ LP bounds in every trace, so it is kept exact rather than swapped for a
 faster method: its inner loops run in numpy but perform the scalar
 algorithm's floating-point operations in the same order, and the tests hold
 it bit for bit to a plain-Python copy.  It powers the cut loop, the shared
-1%-of-optimum stopping bound and the clique-relaxation reference optimum.
+1%-of-optimum stop rule `LPStop` and the clique-relaxation reference optimum.
 
 The stopping bound needs only the optimal value and gains a few rows per
-iteration, so it is warm-started: the new rows join the previous bound's
-final tableau and a dual simplex reoptimizes, which may move the value's
-last bits.  The cut loop and the reference optimum keep the exact solve.
+iteration, so `LPStop` warm-starts it: the new rows join the previous
+bound's final tableau and a dual simplex reoptimizes, which may move the
+value's last bits.  The cut loop and the reference optimum keep the exact
+solve.
 """
 
 from __future__ import annotations
@@ -277,18 +278,30 @@ class _WarmStart:
         return self.value
 
 
-@dataclass
-class LPStopContext:
-    """Fixed pieces of the shared LP stopping bound (initial rows and bounds),
-    plus the last bound's final tableau, from which the next one resumes."""
+@dataclass(eq=False)
+class LPStop(StopRule):
+    """Stop once the LP over the initial plus separated rows is within 1% of
+    the reference optimum: the criterion shared by every method.
 
+    Holds that LP's fixed pieces (initial rows and bounds) and the last
+    bound's final tableau, from which the next evaluation resumes.
+    """
+
+    opt_ref: float
     rows: list[Constraint]
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
-    warm: _WarmStart = field(default_factory=_WarmStart, repr=False, compare=False)
+    every: int = 1
+    warm: _WarmStart = field(default_factory=_WarmStart, repr=False)
 
-    def value(self, c, separated) -> float:
+    def lp_due(self, t: int) -> bool:
+        return t % self.every == 0
+
+    def lp_value(self, c, separated) -> float:
         return lp_stop_bound(self.rows, separated, c, lb=self.lb, ub=self.ub, warm=self.warm)
+
+    def satisfied(self, *, gamma, bound, lp_value) -> bool:
+        return lp_value is not None and lp_value <= 1.01 * self.opt_ref + 1e-9
 
 
 @dataclass

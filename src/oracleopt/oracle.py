@@ -112,9 +112,6 @@ class SeparationOracle:
     def separate(self, x) -> SeparationResult:
         raise NotImplementedError
 
-    def contains(self, x) -> bool:
-        return isinstance(self.separate(x), Inside)
-
 
 @dataclass
 class BallOracle(SeparationOracle):
@@ -122,7 +119,6 @@ class BallOracle(SeparationOracle):
 
     center: np.ndarray
     radius: float
-    name_prefix: str = "ball"
     _count: int = field(default=0, repr=False)
 
     def __post_init__(self):
@@ -146,7 +142,7 @@ class BallOracle(SeparationOracle):
         a = gap / dist
         b = float(a @ self.center) + self.radius
         self._count += 1
-        cons = Constraint(a, b, ConstraintForm.UNIT, f"{self.name_prefix}:{self._count}")
+        cons = Constraint(a, b, ConstraintForm.UNIT, f"ball:{self._count}")
         return Violated(cons, dist - self.radius)
 
 
@@ -173,6 +169,10 @@ class PolytopeOracle(SeparationOracle):
                     rows.append(Constraint(-e, float(-lo[i]), name=f"lb:{i}"))
         if not rows:
             raise ValueError("need at least one constraint or box bound")
+        names = [r.name for r in rows if r.name]
+        if len(set(names)) < len(names):
+            # The solvers keep one atom per name, so a repeat would be ignored.
+            raise ValueError("constraint names must be unique")
         self.rows = rows
         self.dimension = rows[0].dim
         if any(r.dim != self.dimension for r in rows):

@@ -28,7 +28,6 @@ import numpy as np
 from . import corrective as corr
 from .certificates import build_ball_certificate, build_general_certificate
 from .geometry import as_vector, project_point_to_segment
-from .lp_baseline import LPStopContext
 from .oracle import Constraint, ConstraintForm, Inside, SeparationOracle, normalize_unit
 from .trace import CapOnly, RunResult, StopRule, drive, require
 
@@ -220,7 +219,6 @@ def run_general(
     max_iters: int = 1000,
     strategy: corr.UpdateStrategy | None = None,
     initial_constraints=(),
-    lp_context: Optional[LPStopContext] = None,
 ) -> RunResult:
     """Run the general-case solver until the stop rule fires or the cap hits.
 
@@ -269,7 +267,6 @@ def run_general(
         lambda: (state.gamma_out, bound(), state.rnorm_gap, state.oracle_calls),
         stop,
         max_iters,
-        lp_context,
         c,
         state.cuts,
     )

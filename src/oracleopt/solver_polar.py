@@ -25,7 +25,6 @@ import numpy as np
 from . import corrective as corr
 from .certificates import build_polar_certificate
 from .geometry import as_vector, project_point_to_segment
-from .lp_baseline import LPStopContext
 from .oracle import Constraint, ConstraintForm, Inside, SeparationOracle, normalize_polar
 from .trace import CapOnly, RunResult, StopRule, drive, require
 
@@ -216,9 +215,8 @@ def _update_aggregate(state: PolarState, anchor: int, strategy: corr.UpdateStrat
     elif strategy.corrective_due(state.t):
         matrix = state.atom_matrix()
         if strategy.kind is corr.StrategyKind.PARTIALLY_CORRECTIVE:
-            cap = strategy.support_cap or 2 * f.shape[0]
             res = corr.partially_corrective_update(
-                f, matrix, seg_weights, anchor, cap, recession_nonneg=packing
+                f, matrix, seg_weights, anchor, 2 * f.shape[0], recession_nonneg=packing
             )
         else:
             res = corr.min_norm_point(f, matrix, recession_nonneg=packing)
@@ -245,20 +243,18 @@ def run_polar(
     *,
     R: Optional[float] = None,
     gamma1: Optional[float] = None,
-    r: Optional[float] = None,
     stop: Optional[StopRule] = None,
     max_iters: int = 1000,
     strategy: corr.UpdateStrategy | None = None,
     mode: PolarMode = PolarMode.STANDARD,
     initial_constraints=(),
-    lp_context: Optional[LPStopContext] = None,
 ) -> RunResult:
     """Run the solver until the stop rule fires or the iteration cap hits.
 
     gamma1 may be given directly (it must be a value attained by some point
-    of K), derived from a known inner radius r, or found by the halving
-    search against the oracle.  Initial constraints join the atom set so
-    corrective steps and certificates can use them.
+    of K), derived from the oracle's inner radius r when it advertises one,
+    or found by the halving search against the oracle.  Initial constraints
+    join the atom set so corrective steps and certificates can use them.
     """
     c = as_vector(c)
     cnorm = float(np.linalg.norm(c))
@@ -274,7 +270,7 @@ def run_polar(
     incumbent0 = None
     init_calls = 0
     if gamma1 is None:
-        init = initialize_gamma(oracle, c, R, r_known=r if r is not None else oracle.radius_inner)
+        init = initialize_gamma(oracle, c, R, r_known=oracle.radius_inner)
         gamma1, incumbent0, init_calls = init.gamma1, init.point, init.oracle_calls
     if gamma1 <= 0:
         raise ValueError("initial objective value must be positive")
@@ -303,7 +299,6 @@ def run_polar(
         lambda: (state.gamma, dual_bound(state, R), state.residual, state.oracle_calls),
         stop,
         max_iters,
-        lp_context,
         c,
         state.cuts,
     )

@@ -74,6 +74,10 @@ class StopRule:
     def lp_due(self, t: int) -> bool:
         return False
 
+    def lp_value(self, c, separated) -> Optional[float]:
+        """The LP value the rule checks, given the separated rows so far."""
+        return None
+
     def satisfied(self, *, gamma: float, bound: float, lp_value: Optional[float]) -> bool:
         return False
 
@@ -84,51 +88,28 @@ class CapOnly(StopRule):
 
 @dataclass
 class GapStop(StopRule):
-    """Stop once the certified bound is within a relative gap of the incumbent."""
+    """Stop once the certified bound is within a relative gap of the incumbent:
+    bound - gamma <= rel * |gamma|."""
 
     rel: float = 0.01
 
     def satisfied(self, *, gamma, bound, lp_value) -> bool:
-        return gamma > 0 and bound <= (1.0 + self.rel) * gamma + 1e-12
+        factor = 1.0 + self.rel if gamma > 0 else 1.0 - self.rel
+        return bound <= factor * gamma + 1e-12
 
 
-@dataclass
-class LPStop(StopRule):
-    """Stop once the LP over initial plus separated rows is near the optimum.
-
-    Mirrors the shared experimental criterion: the relaxation value must be
-    at most `factor` times the reference optimum (1% above it by default).
-    """
-
-    opt_ref: float
-    factor: float = 1.01
-    every: int = 1
-
-    def lp_due(self, t: int) -> bool:
-        return t % self.every == 0
-
-    def satisfied(self, *, gamma, bound, lp_value) -> bool:
-        if lp_value is None:
-            return False
-        return lp_value <= self.factor * self.opt_ref + 1e-9
-
-
-def drive(step, observe, stop: StopRule, max_iters: int, lp_context, c, cuts):
+def drive(step, observe, stop: StopRule, max_iters: int, c, cuts):
     """Run a solver's iterations until the stop rule fires or the cap hits.
 
     step() advances the solver by one iteration and returns the label of the
     branch that fired; observe() returns (gamma, bound, residual,
-    oracle_calls) for the current iterate.  The LP over lp_context's rows
-    plus `cuts` (the solver's growing list of separated rows) is solved
-    wherever the stop rule asks for it.  Returns (trace, converged).
+    oracle_calls) for the current iterate.  Wherever the stop rule asks for
+    an LP value, it gets the objective and `cuts`, the solver's growing list
+    of separated rows.  Returns (trace, converged).
     """
 
     def lp_value(t: int) -> Optional[float]:
-        if not stop.lp_due(t):
-            return None
-        if lp_context is None:
-            raise ValueError("this stop rule needs an LP context")
-        return lp_context.value(c, cuts)
+        return stop.lp_value(c, cuts) if stop.lp_due(t) else None
 
     trace = ConvergenceTrace()
     if stop.lp_due(0):

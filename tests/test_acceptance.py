@@ -26,11 +26,11 @@ from oracleopt.combinatorial import (
 )
 from oracleopt.corrective import fully_corrective, min_norm_point, segment_plus_nonneg
 from oracleopt.harness import load_config, run_experiment
-from oracleopt.lp_baseline import LinearProgram, LPStopContext, solve_lp
+from oracleopt.lp_baseline import LinearProgram, LPStop, solve_lp
 from oracleopt.oracle import VIOLATION_TOL, BallOracle, Constraint, PolytopeOracle, box_oracle
 from oracleopt.solver_general import run_general
 from oracleopt.solver_polar import PolarMode, run_polar
-from oracleopt.trace import CapOnly, LPStop
+from oracleopt.trace import CapOnly
 
 from test_lp_baseline import enumerate_vertices_value
 
@@ -404,12 +404,11 @@ def test_criterion_9_packing_invariants():
                 oracle,
                 np.ones(d),
                 gamma1=1.0,
-                stop=LPStop(opt_ref=opt),
+                stop=LPStop(opt, rows, np.zeros(d), np.ones(d)),
                 max_iters=1000,
                 strategy=fully_corrective(1),
                 mode=PolarMode.PACKING,
                 initial_constraints=rows,
-                lp_context=LPStopContext(rows=rows, lb=np.zeros(d), ub=np.ones(d)),
             )
             assert res.converged
             if seen:

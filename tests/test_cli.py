@@ -1,23 +1,33 @@
 import argparse
-from dataclasses import fields
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import oracleopt
 from oracleopt import harness
 from oracleopt.certificates import certificate_to_text
+from oracleopt.corrective import fully_corrective
 from oracleopt.cli import _build_parser, _row_matches_instance, main
 from oracleopt.combinatorial import (
     MatchingOracle,
+    generate_triangle_instance,
     matching_initial_rows,
     oddset_constraint,
     parse_dimacs,
+    to_dimacs,
 )
 from oracleopt.harness import CHOICES, ExperimentConfig
-from oracleopt.lp_baseline import LPStopContext
+from oracleopt.lp_baseline import LPStop
 from oracleopt.oracle import Constraint
 from oracleopt.solver_polar import PolarMode, run_polar
-from oracleopt.trace import LPStop
+from oracleopt.trace import GapStop
 
 
 def test_gen_writes_parseable_instance(tmp_path, capsys):
@@ -58,8 +68,19 @@ def test_run_exit_codes(tmp_path):
         ]
     )
     assert code == 2
+
+
+def test_cutloop_on_synthetic_ball_reaches_the_optimum(tmp_path, capsys):
+    # `auto` runs the cut loop to its own convergence: the gap rule would
+    # compare the LP value with itself and stop at once.
     assert main(["run", "--problem", "synthetic-ball", "--method", "cutloop",
                  "--dim", "2", "--iters", "60", "--out", str(tmp_path)]) == 0
+    value = float(capsys.readouterr().out.split("value ")[1].split(",")[0])
+    assert value == pytest.approx(math.sqrt(2), rel=1e-5)
+    code = main(["run", "--problem", "synthetic-ball", "--method", "cutloop", "--dim", "3",
+                 "--stop", "gap", "--out", str(tmp_path)])
+    assert code == 1
+    assert "stop=gap" in capsys.readouterr().err
 
 
 def test_run_bad_config_is_error(tmp_path):
@@ -93,11 +114,10 @@ def test_verify_round_trip_with_instance(tmp_path):
         oracle,
         np.ones(d),
         gamma1=1.0,
-        stop=LPStop(opt_ref=opt),
+        stop=LPStop(opt, rows, np.zeros(d), np.ones(d)),
         max_iters=500,
         mode=PolarMode.PACKING,
         initial_constraints=rows,
-        lp_context=LPStopContext(rows=rows, lb=np.zeros(d), ub=np.ones(d)),
     )
     cert_path = tmp_path / "run.cert"
     cert_path.write_text(certificate_to_text(res.certificate))
@@ -157,3 +177,77 @@ def test_verify_accepts_positive_multiples_of_instance_rows():
     for name, rhs, valid in (("zero", 1.0, True), ("ball0", 2.5, True), ("ball0", -1.0, False)):
         row = Constraint(np.zeros(3), rhs, name=name)
         assert _row_matches_instance(name, row, graph, "matching") is valid
+
+
+def test_verify_with_instance_checks_objective_and_radius(tmp_path):
+    # Both forgeries keep the aggregation consistent with the objective and R
+    # stored in the certificate, and claim a bound below the optimum 4.
+    graph = generate_triangle_instance(12, 4, 2)
+    d = graph.n_edges
+    res = run_polar(
+        MatchingOracle(graph, max_set_size=11), np.ones(d), gamma1=1.0, stop=GapStop(0.05),
+        max_iters=500, strategy=fully_corrective(1), mode=PolarMode.PACKING,
+        initial_constraints=matching_initial_rows(graph, "basic"),
+    )
+    honest = res.certificate
+    small_ball = replace(honest, R=honest.R / 1000, ball_rhs=honest.ball_rhs / 1000)
+    small_ball = replace(small_ball, claimed_bound=(
+        sum(m * cons.b for cons, m in small_ball.rows)
+        + small_ball.ball_coefficient * small_ball.ball_rhs
+    ))
+    halved = replace(
+        honest,
+        objective=honest.objective / 2,
+        rows=[(cons, m / 2) for cons, m in honest.rows],
+        ball_coefficient=honest.ball_coefficient / 2,
+        nonneg_slack=honest.nonneg_slack / 2,
+        gamma=honest.gamma / 2,
+        claimed_bound=honest.claimed_bound / 2,
+    )
+    other = generate_triangle_instance(9, 3, 0)
+    (tmp_path / "g.dimacs").write_text(to_dimacs(graph))
+    (tmp_path / "other.dimacs").write_text(to_dimacs(other))
+
+    def verify(cert, instance=None):
+        path = tmp_path / "run.cert"
+        path.write_text(certificate_to_text(cert))
+        args = ["verify", "--certificate", str(path)]
+        if instance:
+            args += ["--instance", str(tmp_path / instance), "--problem", "matching"]
+        return main(args)
+
+    for forged in (small_ball, halved):
+        assert forged.claimed_bound < 4
+        assert verify(forged) == 0  # consistent with its own objective and R
+        assert verify(forged, "g.dimacs") == 1
+    assert verify(honest, "g.dimacs") == 0
+    assert verify(honest, "other.dimacs") == 1  # another dimension
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # A fresh interpreter runs the CLI once; every top-level module it imports
+    # beyond the bare interpreter's must be the standard library's, numpy or
+    # oracleopt itself.  Modules without an import spec are bookkeeping that
+    # compiled extensions register (numpy.random's cython_runtime), not packages.
+    script = textwrap.dedent(
+        """
+        import sys
+        bare = {name.partition(".")[0] for name in sys.modules}
+        from oracleopt.cli import main
+        argv = ["run", "--problem", "matching", "--nodes", "9", "--triangles", "3", "--out", ""]
+        assert main(argv) == 0
+        loaded = {
+            name.partition(".")[0]
+            for name, module in sys.modules.items()
+            if getattr(module, "__spec__", None) is not None
+        }
+        print(" ".join(sorted(loaded - bare - set(sys.stdlib_module_names))))
+        """
+    )
+    src = str(Path(oracleopt.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "numpy oracleopt"

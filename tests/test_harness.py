@@ -14,9 +14,8 @@ from oracleopt.harness import (
     load_config,
     run_experiment,
 )
-from oracleopt.lp_baseline import LPStopContext
+from oracleopt.lp_baseline import LPStop
 from oracleopt.solver_general import run_general
-from oracleopt.trace import LPStop
 
 
 def summary(**kw):
@@ -136,10 +135,9 @@ class TestRunExperiment:
         res = run_general(
             instance.oracle,
             instance.c,
-            stop=LPStop(opt_ref=instance.opt_ref),
+            stop=LPStop(instance.opt_ref, instance.initial_rows, instance.lb, instance.ub),
             strategy=fully_corrective(1) if config.frequency else None,
             initial_constraints=instance.initial_rows,
-            lp_context=LPStopContext(instance.initial_rows, instance.lb, instance.ub),
         )
         assert res.iterations == summary_row.iterations
         assert any(cut.name.startswith("nonneg:") for cut in res.state.cuts)

@@ -14,7 +14,7 @@ from oracleopt.corrective import fully_corrective, segment_only
 from oracleopt.lp_baseline import (
     InfeasibleLPError,
     LinearProgram,
-    LPStopContext,
+    LPStop,
     UnboundedLPError,
     cut_loop,
     lp_stop_bound,
@@ -22,7 +22,6 @@ from oracleopt.lp_baseline import (
 )
 from oracleopt.oracle import BallOracle, Constraint
 from oracleopt.solver_polar import PolarMode, run_polar
-from oracleopt.trace import LPStop
 
 _PIVOT_TOL = lp_baseline._PIVOT_TOL
 _COST_TOL = lp_baseline._COST_TOL
@@ -486,7 +485,7 @@ class TestCutLoop:
             [1.0, 0.0],
             rows,
             lb=np.full(dim, -np.inf),
-            stop=LPStop(opt_ref=1.0),
+            stop=LPStop(1.0, rows),
             max_iters=200,
         )
         assert res.converged
@@ -509,7 +508,7 @@ class TestCutLoop:
             rows.append(Constraint(e.copy(), 1.0))
             rows.append(Constraint(-e, 1.0))
         res = cut_loop(
-            oracle, np.ones(3), rows, lb=np.full(3, -np.inf), stop=LPStop(opt_ref=np.sqrt(3.0)),
+            oracle, np.ones(3), rows, lb=np.full(3, -np.inf), stop=LPStop(np.sqrt(3.0), rows),
             max_iters=100,
         )
         values = [row.gamma for row in res.trace]
@@ -542,7 +541,7 @@ class TestLPStopBound:
         assert tight == pytest.approx(1.0)
 
     def test_stop_rule_fires_on_threshold(self):
-        rule = LPStop(opt_ref=10.0)
+        rule = LPStop(10.0, [])
         assert rule.satisfied(gamma=0, bound=0, lp_value=10.05)
         assert not rule.satisfied(gamma=0, bound=0, lp_value=10.2)
 
@@ -590,7 +589,7 @@ class TestWarmStartedLPStopBound:
         calls = infeasible = 0
         for k in range(150):
             c, initial, lb, ub, steps = warm_start_run(rng, ("packing", "gaussian", "free")[k % 3])
-            context = LPStopContext(rows=initial, lb=lb, ub=ub)
+            stop = LPStop(0.0, initial, lb, ub)
             separated = []
             for rows in steps:
                 separated.extend(rows)
@@ -599,10 +598,10 @@ class TestWarmStartedLPStopBound:
                     fresh = real_solve(lp).value
                 except InfeasibleLPError:
                     with pytest.raises(InfeasibleLPError):
-                        context.value(c, separated)
+                        stop.lp_value(c, separated)
                     infeasible += 1
                     break
-                got = context.value(c, separated)
+                got = stop.lp_value(c, separated)
                 calls += 1
                 assert abs(got - fresh) <= 1e-12 * (1 + abs(fresh)), (k, got, fresh)
                 assert got == pytest.approx(-highs(lp).fun, rel=1e-7, abs=1e-7), k
@@ -612,13 +611,13 @@ class TestWarmStartedLPStopBound:
     def test_call_without_new_rows_returns_the_kept_value_without_pivots(self, monkeypatch):
         rng = np.random.default_rng(3)
         c, initial, lb, ub, _ = warm_start_run(rng, "gaussian")
-        context = LPStopContext(rows=initial, lb=lb, ub=ub)
+        stop = LPStop(0.0, initial, lb, ub)
         separated = [Constraint(rng.normal(size=len(c)), 0.5) for _ in range(3)]
-        value = context.value(c, separated)
+        value = stop.lp_value(c, separated)
         moves = []
         monkeypatch.setattr(lp_baseline, "_pivot", lambda *args: moves.append(args))
         monkeypatch.setattr(lp_baseline, "solve_lp", lambda lp: moves.append(lp))
-        assert context.value(c, separated) == value
+        assert stop.lp_value(c, separated) == value
         assert moves == []
 
     @pytest.mark.parametrize(
@@ -633,9 +632,9 @@ class TestWarmStartedLPStopBound:
         ]
         separated = [Constraint(np.ones(3), 1.0), Constraint(np.array([0.0, 0.0, 1.0]), 0.25)]
         bounds = dict(lb=np.zeros(3), ub=np.ones(3))
-        context = LPStopContext(rows=degree, **bounds)
+        stop = LPStop(0.0, degree, **bounds)
         c = np.array([1.0, 2.0, 3.0])
-        context.value(c, separated)
+        stop.lp_value(c, separated)
         if change == "objective":
             c = np.array([3.0, 2.0, 1.0])
         elif change == "objective_in_place":
@@ -647,27 +646,27 @@ class TestWarmStartedLPStopBound:
         else:
             separated = separated[:1]
         fresh = solve_lp(LinearProgram(objective=c, rows=degree + separated, **bounds)).value
-        assert context.value(c, separated) == fresh
-        assert context.value(c, separated) == lp_stop_bound(degree, separated, c, **bounds)
+        assert stop.lp_value(c, separated) == fresh
+        assert stop.lp_value(c, separated) == lp_stop_bound(degree, separated, c, **bounds)
 
     def test_context_reused_across_runs_gives_the_fresh_traces(self):
         graph = generate_triangle_instance(12, 5, 0)
         rows = matching_initial_rows(graph, "basic")
         d = graph.n_edges
 
-        def run(context, strategy):
+        def run(stop, strategy):
             res = run_polar(
                 MatchingOracle(graph, max_set_size=graph.n_nodes), np.ones(d), gamma1=1.0,
-                mode=PolarMode.PACKING, initial_constraints=rows, lp_context=context,
-                stop=LPStop(opt_ref=float(brute_force_matching_opt(graph))), max_iters=60,
+                mode=PolarMode.PACKING, initial_constraints=rows, stop=stop, max_iters=60,
                 strategy=strategy,
             )
             assert any(row.lp_bound is not None for row in res.trace)
             return res.trace.to_csv()
 
-        def context():
-            return LPStopContext(rows=rows, lb=np.zeros(d), ub=np.ones(d))
+        def stop():
+            opt = float(brute_force_matching_opt(graph))
+            return LPStop(opt, rows, np.zeros(d), np.ones(d))
 
-        shared = context()
+        shared = stop()
         for strategy in (segment_only(), fully_corrective(1), segment_only()):
-            assert run(shared, strategy) == run(context(), strategy)
+            assert run(shared, strategy) == run(stop(), strategy)

@@ -126,6 +126,17 @@ class TestPolytopeOracle:
         with pytest.raises(ValueError):
             PolytopeOracle([], radius_outer=1.0)
 
+    def test_repeated_row_names_rejected(self):
+        # The solvers keep one atom per row name, so a repeat would never be used.
+        rows = [Constraint(a, 1.0, name="h") for a in np.eye(2)]
+        with pytest.raises(ValueError, match="unique"):
+            PolytopeOracle(rows, radius_outer=2.0)
+        clash = [Constraint(np.ones(2), 1.0, name="ub:1")]
+        with pytest.raises(ValueError, match="unique"):
+            PolytopeOracle(clash, box_bounds=(-np.ones(2), np.ones(2)), radius_outer=2.0)
+        unnamed = [Constraint(a, 1.0) for a in np.eye(2)]
+        assert len(PolytopeOracle(unnamed, radius_outer=2.0).rows) == 2
+
 
 def _unit_rows(rng, count, dim):
     rows = rng.normal(size=(count, dim))

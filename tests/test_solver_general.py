@@ -166,6 +166,18 @@ class TestRunGeneral:
         assert res.converged
         assert res.bound <= 1.05 * res.gamma + 1e-9
 
+    def test_gap_stop_fires_below_zero(self):
+        # K lies where <c, x> < 0, so the incumbent stays negative; the gap is
+        # still measured relative to |gamma|.
+        oracle = BallOracle([-1.0, 0.0], 0.5)
+        res = run_general(
+            oracle, np.ones(2), stop=GapStop(0.01), strategy=fully_corrective(1), max_iters=300
+        )
+        assert res.converged
+        assert res.gamma < 0
+        assert res.gamma <= res.bound <= res.gamma + 0.01 * abs(res.gamma) + 1e-12
+        assert verify_certificate(res.certificate).passed
+
     def test_weak_initial_rows_clamped_to_ball_bound(self):
         # A row weaker than the enclosing ball is tightened on ingestion so
         # lifted atoms keep bounded norms.

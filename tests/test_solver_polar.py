@@ -262,7 +262,7 @@ class TestRunPolar:
             gamma1=1.0,
             stop=GapStop(0.01),
             max_iters=2000,
-            strategy=partially_corrective(cap=8, k=1),
+            strategy=partially_corrective(k=1),
         )
         assert res.converged
         assert verify_certificate(res.certificate).passed

@@ -14,11 +14,9 @@ from oracleopt.combinatorial import (
 )
 from oracleopt import lp_baseline
 from oracleopt.harness import load_config, run_experiment
-from oracleopt.lp_baseline import LPStopContext
-from oracleopt.oracle import BallOracle
+from oracleopt.lp_baseline import LPStop
 from oracleopt.solver_general import run_general
 from oracleopt.solver_polar import PolarMode, run_polar
-from oracleopt.trace import LPStop
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -51,15 +49,15 @@ def test_golden_trace_bytes(name, tmp_path):
     assert Path(trace_path).read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
 
-def _matching_run_args(graph):
+def _matching_run_args(graph, every=1):
     d = graph.n_edges
     rows = matching_initial_rows(graph, "basic")
+    opt = float(brute_force_matching_opt(graph))
     return dict(
         oracle=MatchingOracle(graph, max_set_size=graph.n_nodes),
         c=np.ones(d),
         initial_constraints=rows,
-        lp_context=LPStopContext(rows=rows, lb=np.zeros(d), ub=np.ones(d)),
-        stop=LPStop(opt_ref=float(brute_force_matching_opt(graph))),
+        stop=LPStop(opt, rows, np.zeros(d), np.ones(d), every=every),
     )
 
 
@@ -70,15 +68,8 @@ def _run(method, oracle, c, **kwargs):
 
 
 @pytest.mark.parametrize("method", ["polar", "general"])
-def test_lp_stop_rule_without_context_is_an_error(method):
-    with pytest.raises(ValueError, match="LP context"):
-        _run(method, BallOracle([0.0, 0.0], 1.0), np.ones(2), stop=LPStop(opt_ref=1.0))
-
-
-@pytest.mark.parametrize("method", ["polar", "general"])
 def test_lp_bound_only_on_checked_iterations(method):
-    args = _matching_run_args(generate_triangle_instance(15, 11, 1))
-    args["stop"] = LPStop(opt_ref=args["stop"].opt_ref, every=3)
+    args = _matching_run_args(generate_triangle_instance(15, 11, 1), every=3)
     res = _run(method, max_iters=40, **args)
     assert len(res.trace) >= 3
     for row in res.trace:
@@ -97,8 +88,7 @@ def test_one_lp_stop_bound_call_per_lp_evaluation(method, monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(lp_baseline, "lp_stop_bound", recording)
-    args = _matching_run_args(generate_triangle_instance(15, 11, 1))
-    args["stop"] = LPStop(opt_ref=args["stop"].opt_ref, every=3)
+    args = _matching_run_args(generate_triangle_instance(15, 11, 1), every=3)
     res = _run(method, max_iters=40, **args)
     checked = [row.lp_bound for row in res.trace if row.lp_bound is not None]
     assert checked
