@@ -116,6 +116,8 @@ def _cmd_verify(args) -> int:
             print(f"rows not valid for the instance: {', '.join(bad)}")
         else:
             print("all used rows are valid for the instance")
+    else:
+        print("only self-consistency was checked: nothing ties the certificate to a problem")
     print(f"claimed bound: {cert.claimed_bound:.17g}")
     return 0 if ok else 1
 

@@ -75,7 +75,7 @@ class MinNormResult:
     converged: bool
 
 
-def min_norm_point(target, atoms, recession_nonneg: bool = False) -> MinNormResult:
+def min_norm_point(target, atoms, recession_nonneg: bool = False, start=None) -> MinNormResult:
     """Project target onto conv(atoms), optionally minus the nonneg orthant.
 
     Classical min-norm-point scheme: grow an active set of atoms (and, when
@@ -84,19 +84,33 @@ def min_norm_point(target, atoms, recession_nonneg: bool = False) -> MinNormResu
     leaves the simplex.  The weights certify the projection; with the
     recession enabled the returned slack s >= 0 satisfies
     point = weights @ atoms - s.
+
+    `start`, a convex combination over the atoms, seeds the active set with
+    its n + 1 heaviest atoms (stable ties, weights renormalized); without it
+    the scheme starts from atom 0.  Packing calls (recession enabled) ignore
+    it and start cold: the caller's weights carry no slack over the rays.
     """
     target = as_vector(target)
-    atom_matrix = np.array([as_vector(a) for a in atoms], dtype=float)
-    if atom_matrix.size == 0:
-        raise ValueError("need at least one atom")
-    m, n = atom_matrix.shape
+    atom_matrix = np.asarray(atoms, dtype=float)
+    m, n = atom_matrix.shape if atom_matrix.ndim == 2 else (0, 0)
+    if m == 0 or n != target.shape[0]:
+        raise ValueError(f"need at least one atom, as a row of length {target.shape[0]}")
+    if not np.all(np.isfinite(atom_matrix)):
+        raise ValueError("atom entries must be finite")
     shifted = atom_matrix - target  # minimize ||shifted^T w + D t||
 
     # Active sets: atom indices and, in the recession case, ray coordinates
     # (rays are the negated unit vectors).
     active_atoms = [0]
-    active_rays: list[int] = []
     w = np.array([1.0])
+    if start is not None and not recession_nonneg:
+        start = as_vector(start)
+        heaviest = np.argsort(-start, kind="stable")[: n + 1]
+        active_atoms = sorted(int(i) for i in heaviest if start[i] > 0)
+        if start.shape[0] != m or not active_atoms:
+            raise ValueError(f"start must be {m} weights, at least one positive")
+        w = start[active_atoms] / start[active_atoms].sum()
+    active_rays: list[int] = []
     tvals = np.zeros(0)
 
     def current_y() -> np.ndarray:
@@ -105,41 +119,15 @@ def min_norm_point(target, atoms, recession_nonneg: bool = False) -> MinNormResu
             y[i] -= tvals[k]
         return y
 
-    y = current_y()
     scale = 1.0 + float(np.max(np.abs(shifted)))
-    best = (float(y @ y), y.copy(), list(active_atoms), w.copy(), list(active_rays), tvals.copy())
+    best = None
     max_major = 50 * max(m, n)
     converged = False
 
     for _ in range(max_major):
-        yy = float(y @ y)
-        if yy < best[0]:
-            best = (yy, y.copy(), list(active_atoms), w.copy(), list(active_rays), tvals.copy())
-        scores = shifted @ y
-        enter_atom = int(np.argmin(scores))
-        atom_gap = yy - float(scores[enter_atom])
-        ray_gap = 0.0
-        enter_ray = -1
-        if recession_nonneg:
-            # Ray -e_i improves iff <y, -e_i> < 0, i.e. y_i > 0.
-            enter_ray = int(np.argmax(y))
-            ray_gap = float(y[enter_ray])
-        tol = _OPT_TOL * scale * scale
-        if atom_gap <= tol and ray_gap <= tol:
-            converged = True
-            break
-
-        if atom_gap >= ray_gap:
-            if enter_atom not in active_atoms:
-                active_atoms.append(enter_atom)
-                w = np.append(w, 0.0)
-        else:
-            if enter_ray not in active_rays:
-                active_rays.append(enter_ray)
-                tvals = np.append(tvals, 0.0)
-
         # Minor cycles: move toward the affine minimizer, dropping atoms or
-        # rays whose coefficients hit zero.
+        # rays whose coefficients hit zero.  Running them first turns a warm
+        # start into a corral before any atom enters.
         for _ in range(len(active_atoms) + len(active_rays) + 2):
             w_aff, t_aff = _affine_minimizer(shifted, active_atoms, active_rays)
             if np.all(w_aff >= -1e-12) and np.all(t_aff >= -1e-12):
@@ -172,18 +160,42 @@ def min_norm_point(target, atoms, recession_nonneg: bool = False) -> MinNormResu
                 tvals = tvals[keep_r]
         y = current_y()
 
+        yy = float(y @ y)
+        if best is None or yy < best[0]:
+            best = (yy, y.copy(), list(active_atoms), w.copy(), list(active_rays), tvals.copy())
+        scores = shifted @ y
+        enter_atom = int(np.argmin(scores))
+        atom_gap = yy - float(scores[enter_atom])
+        ray_gap = 0.0
+        enter_ray = -1
+        if recession_nonneg:
+            # Ray -e_i improves iff <y, -e_i> < 0, i.e. y_i > 0.
+            enter_ray = int(np.argmax(y))
+            ray_gap = float(y[enter_ray])
+        tol = _OPT_TOL * scale * scale
+        if atom_gap <= tol and ray_gap <= tol:
+            converged = True
+            break
+
+        if atom_gap >= ray_gap:
+            if enter_atom not in active_atoms:
+                active_atoms.append(enter_atom)
+                w = np.append(w, 0.0)
+        else:
+            if enter_ray not in active_rays:
+                active_rays.append(enter_ray)
+                tvals = np.append(tvals, 0.0)
+
     if not converged:
         warnings.warn("min_norm_point hit its cycle safeguard; returning best point found")
         _, y, active_atoms, w, active_rays, tvals = best
 
     weights = np.zeros(m)
-    for wj, a in zip(w, active_atoms):
-        weights[a] += wj
+    weights[active_atoms] = w
     slack = None
     if recession_nonneg:
         slack = np.zeros(n)
-        for tv, i in zip(tvals, active_rays):
-            slack[i] += tv
+        slack[active_rays] = tvals
     point = target + y
     return MinNormResult(point=point, weights=weights, slack=slack, converged=converged)
 
@@ -228,11 +240,10 @@ def partially_corrective_update(
         if last_index not in support:
             support[-1] = last_index
         support = sorted(support)
-    sub = [atoms[i] for i in support]
-    res = min_norm_point(target, sub, recession_nonneg=recession_nonneg)
+    sub = np.asarray(atoms)[support]
+    res = min_norm_point(target, sub, recession_nonneg=recession_nonneg, start=weights[support])
     full = np.zeros(len(atoms))
-    for wj, i in zip(res.weights, support):
-        full[i] = wj
+    full[support] = res.weights
     return MinNormResult(point=res.point, weights=full, slack=res.slack, converged=res.converged)
 
 

@@ -201,7 +201,7 @@ def _corrective_rebuild(state: GeneralState) -> None:
     """Replace the gap vector by the norm minimizer over the admissible hull."""
     neg_target = -state.target_lifted()
     cloud = np.array(state.atom_lifted + [neg_target])
-    res = corr.min_norm_point(np.zeros(cloud.shape[1]), cloud)
+    res = corr.min_norm_point(np.zeros(cloud.shape[1]), cloud, start=np.append(state.nu, state.lam))
     cand_norm = float(np.linalg.norm(res.point))
     if cand_norm <= state.rnorm_gap + 1e-9:
         state.gap_vec = res.point

@@ -219,7 +219,7 @@ def _update_aggregate(state: PolarState, anchor: int, strategy: corr.UpdateStrat
                 f, matrix, seg_weights, anchor, 2 * f.shape[0], recession_nonneg=packing
             )
         else:
-            res = corr.min_norm_point(f, matrix, recession_nonneg=packing)
+            res = corr.min_norm_point(f, matrix, recession_nonneg=packing, start=seg_weights)
         cand_point = np.minimum(f, res.point) if packing else res.point
         cand_dist = float(np.linalg.norm(f - cand_point))
         if cand_dist <= seg_dist + 1e-9:

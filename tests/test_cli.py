@@ -224,6 +224,31 @@ def test_verify_with_instance_checks_objective_and_radius(tmp_path):
     assert verify(honest, "other.dimacs") == 1  # another dimension
 
 
+def test_verify_without_instance_says_only_self_consistency_was_checked(tmp_path, capsys):
+    graph = generate_triangle_instance(9, 3, 0)
+    d = graph.n_edges
+    res = run_polar(
+        MatchingOracle(graph, max_set_size=9), np.ones(d), gamma1=1.0, stop=GapStop(0.05),
+        max_iters=500, mode=PolarMode.PACKING,
+        initial_constraints=matching_initial_rows(graph, "basic"),
+    )
+    (tmp_path / "run.cert").write_text(certificate_to_text(res.certificate))
+    (tmp_path / "g.dimacs").write_text(to_dimacs(graph))
+    note = "only self-consistency was checked"
+    capsys.readouterr()
+
+    assert main(["verify", "--certificate", str(tmp_path / "run.cert")]) == 0
+    out = capsys.readouterr().out
+    assert "aggregation checks: pass" in out
+    assert note in out and "nothing ties the certificate to a problem" in out
+
+    assert main(["verify", "--certificate", str(tmp_path / "run.cert"),
+                 "--instance", str(tmp_path / "g.dimacs"), "--problem", "matching"]) == 0
+    out = capsys.readouterr().out
+    assert "all used rows are valid for the instance" in out
+    assert note not in out
+
+
 def test_numpy_is_the_only_runtime_dependency():
     # A fresh interpreter runs the CLI once; every top-level module it imports
     # beyond the bare interpreter's must be the standard library's, numpy or

@@ -11,6 +11,10 @@ from oracleopt.corrective import (
     partially_corrective_update,
 )
 from oracleopt.geometry import project_point_to_segment
+from oracleopt.oracle import Constraint, PolytopeOracle
+from oracleopt.solver_general import run_general
+from oracleopt.solver_polar import run_polar
+from oracleopt.trace import GapStop
 
 
 def pgd_projection(target, atoms, steps=100_000):
@@ -97,6 +101,57 @@ class TestMinNormPoint:
     def test_needs_atoms(self):
         with pytest.raises(ValueError):
             min_norm_point([0.0], [])
+
+    @pytest.mark.parametrize(
+        "atoms", [[1.0, 2.0], [[1.0, 2.0, 3.0]], [[1.0, np.inf]]], ids=["flat", "wide", "inf"]
+    )
+    def test_atoms_must_be_finite_rows_of_target_length(self, atoms):
+        with pytest.raises(ValueError):
+            min_norm_point([0.0, 0.0], atoms)
+
+    @pytest.mark.parametrize("start", [[1.0], [0.5, 0.5, 0.0], [0.0, 0.0]], ids=["short", "long", "zero"])
+    def test_start_must_weight_the_atoms(self, start):
+        with pytest.raises(ValueError, match="start"):
+            min_norm_point([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], start=start)
+
+    def test_warm_start_reaches_the_cold_point(self):
+        # Full-support starts are cut to their n + 1 heaviest atoms, and the
+        # minor cycle runs before any atom enters, so the support bound holds.
+        rng = np.random.default_rng(47)
+        for _ in range(300):
+            m, n = int(rng.integers(2, 31)), int(rng.integers(1, 9))
+            atoms = rng.normal(size=(m, n))
+            target = rng.uniform(0.0, 3.0) * rng.normal(size=n)
+            start = rng.uniform(0.01, 1.0, size=m)
+            warm = min_norm_point(target, atoms, start=start / start.sum())
+            cold = min_norm_point(target, atoms)
+            assert warm.converged
+            assert np.linalg.norm(warm.point - cold.point) <= 1e-9
+            assert np.sum(warm.weights > 0) <= n + 1
+            assert warm.weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.allclose(warm.weights @ atoms, warm.point, atol=1e-9)
+
+    def test_one_hot_start_on_atom_zero_is_the_cold_start(self):
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            atoms = rng.normal(size=(12, 5))
+            target = rng.normal(size=5)
+            one_hot = np.zeros(12)
+            one_hot[0] = 1.0
+            warm = min_norm_point(target, atoms, start=one_hot)
+            cold = min_norm_point(target, atoms)
+            assert np.array_equal(warm.point, cold.point)
+            assert np.array_equal(warm.weights, cold.weights)
+
+    def test_recession_ignores_the_start(self):
+        rng = np.random.default_rng(59)
+        atoms = rng.normal(size=(10, 4))
+        target = rng.normal(size=4)
+        warm = min_norm_point(target, atoms, recession_nonneg=True, start=np.full(10, 0.1))
+        cold = min_norm_point(target, atoms, recession_nonneg=True)
+        assert np.array_equal(warm.point, cold.point)
+        assert np.array_equal(warm.weights, cold.weights)
+        assert np.array_equal(warm.slack, cold.slack)
 
 
 @pytest.mark.parametrize(
@@ -209,3 +264,46 @@ class TestNonnegCorrectiveUpdate:
             seg, _ = project_point_to_segment(q, v, f)
             plain = np.minimum(f, seg)
             assert np.linalg.norm(f - q_new) <= np.linalg.norm(f - plain) + 1e-9
+
+
+def _random_polytope(n, seed):
+    """4n random unit-normal halfspaces <a, x> <= 1 plus the box [-1, 1]^n."""
+    rng = np.random.default_rng(seed)
+    normals = rng.standard_normal((4 * n, n))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    c = rng.uniform(0.1, 1.0, n)
+    rows = [Constraint(a, 1.0, name=f"half:{i}") for i, a in enumerate(normals)]
+    oracle = PolytopeOracle(
+        rows, box_bounds=(-np.ones(n), np.ones(n)), radius_outer=float(np.sqrt(n)), radius_inner=1.0
+    )
+    return oracle, c
+
+
+# (iterations, oracle calls) to a 1% gap at n = 30, seeds 0, 1, 2, as the
+# cold-started min-norm-point scheme gave them; a warm start must not move them.
+_CORRECTIVE_COUNTS = {
+    "polar_fc1": [(41, 41), (45, 45), (43, 43)],
+    "polar_fc10": [(81, 81), (71, 71), (91, 91)],
+    "polar_pc": [(41, 41), (45, 45), (46, 46)],
+    "general_fc1": [(59, 59), (58, 58), (60, 60)],
+    "general_fc10": [(110, 94), (110, 91), (110, 95)],
+}
+_CORRECTIVE_VARIANTS = {
+    "polar_fc1": (run_polar, lambda: fully_corrective(1)),
+    "polar_fc10": (run_polar, lambda: fully_corrective(10)),
+    "polar_pc": (run_polar, lambda: partially_corrective()),
+    "general_fc1": (run_general, lambda: fully_corrective(1)),
+    "general_fc10": (run_general, lambda: fully_corrective(10)),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_CORRECTIVE_COUNTS))
+def test_corrective_counts_on_random_polytopes(variant):
+    run, strategy = _CORRECTIVE_VARIANTS[variant]
+    counts = []
+    for seed in range(3):
+        oracle, c = _random_polytope(30, seed)
+        res = run(oracle, c, stop=GapStop(0.01), max_iters=2000, strategy=strategy())
+        assert res.converged
+        counts.append((res.iterations, res.state.oracle_calls))
+    assert counts == _CORRECTIVE_COUNTS[variant]
