@@ -267,32 +267,35 @@ def max_weight_clique(graph: Graph, weights) -> tuple[float, tuple[int, ...]]:
     Prunes with a greedy weighted-coloring bound; only nodes of positive
     weight matter, since dropping a nonpositive-weight node never decreases
     a clique's weight.  Deterministic for a fixed graph and weight vector.
+    Neighbourhoods and color classes are node bitmasks.
     """
     weights = as_vector(weights)
     if weights.shape[0] != graph.n_nodes:
         raise ValueError("weight vector length must match the node count")
-    adj = graph.adjacency()
-    nodes = [v for v in range(graph.n_nodes) if weights[v] > _SUPPORT_TOL]
-    nodes.sort(key=lambda v: (-weights[v], v))
+    w = weights.tolist()
+    nbr = [0] * graph.n_nodes
+    for u, v in graph.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    nodes = [v for v in range(graph.n_nodes) if w[v] > _SUPPORT_TOL]
+    nodes.sort(key=lambda v: (-w[v], v))
     best_w = 0.0
     best_set: tuple[int, ...] = ()
 
     def color_bound(cands: list[int]) -> float:
-        classes: list[tuple[float, list[int]]] = []
+        classes: list[list] = []  # [heaviest weight, member mask]
         bound = 0.0
         for v in cands:
-            placed = False
-            for i, (wmax, members) in enumerate(classes):
-                if not any(adj[v, u] for u in members):
-                    members.append(v)
-                    if weights[v] > wmax:
-                        bound += weights[v] - wmax
-                        classes[i] = (weights[v], members)
-                    placed = True
+            for cls in classes:
+                if not nbr[v] & cls[1]:
+                    cls[1] |= 1 << v
+                    if w[v] > cls[0]:
+                        bound += w[v] - cls[0]
+                        cls[0] = w[v]
                     break
-            if not placed:
-                classes.append((weights[v], [v]))
-                bound += weights[v]
+            else:
+                classes.append([w[v], 1 << v])
+                bound += w[v]
         return bound
 
     def expand(current: list[int], current_w: float, cands: list[int]) -> None:
@@ -306,10 +309,10 @@ def max_weight_clique(graph: Graph, weights) -> tuple[float, tuple[int, ...]]:
             return
         for i, v in enumerate(cands):
             rest = cands[i + 1 :]
-            if current_w + weights[v] + sum(weights[u] for u in rest) <= best_w + 1e-15:
+            if current_w + w[v] + sum(w[u] for u in rest) <= best_w + 1e-15:
                 return
             current.append(v)
-            expand(current, current_w + weights[v], [u for u in rest if adj[v, u]])
+            expand(current, current_w + w[v], [u for u in rest if nbr[v] >> u & 1])
             current.pop()
 
     expand([], 0.0, nodes)
@@ -426,8 +429,7 @@ def clique_relaxation_opt(graph: Graph) -> float:
 
 def degree_constraint(graph: Graph, node: int) -> Constraint:
     a = np.zeros(graph.n_edges)
-    for j in graph.incident_edges()[node]:
-        a[j] = 1.0
+    a[[j for j, edge in enumerate(graph.edges) if node in edge]] = 1.0
     return Constraint(a, 1.0, ConstraintForm.POLAR, f"degree:{node}")
 
 

@@ -5,19 +5,24 @@ instances and random stable-set graphs (plus synthetic ball/box bodies),
 solver variants against the reference cut loop, standard versus optimal
 initialization, and the shared stopping rule that checks the LP over the
 initial plus separated constraints against the true optimum.
+
+Consecutive runs on one instance share it: its oracle, reference optimum and
+solved initial LP are built once, and its arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import combinatorial as comb
 from . import corrective as corr
-from .lp_baseline import LPStop, cut_loop
+from .lp_baseline import LinearProgram, LPStop, _WarmStart, cut_loop
 from .oracle import BallOracle, Constraint, box_oracle
 from .solver_general import run_general
 from .solver_polar import PolarMode, run_polar
@@ -68,6 +73,10 @@ class ExperimentConfig:
             raise ValueError("iteration cap must be positive")
         if self.lp_check_every < 1:
             raise ValueError("lp_check_every must be >= 1")
+        if self.dim < 1 or self.nodes < 1:
+            raise ValueError("dim and nodes must be >= 1")
+        if self.graph_file and self.problem not in ("matching", "stableset"):
+            raise ValueError(f"a graph file needs a graph problem, not {self.problem!r}")
         if self.max_set_size < 3:
             raise ValueError("max_set_size must be >= 3: odd sets start at size 3")
         if self.method == "cutloop" and self.stop == "gap":
@@ -138,6 +147,7 @@ class Instance:
     opt_ref: Optional[float]
     polar_mode: PolarMode
     gamma_standard: float
+    initial_lp: Optional[_WarmStart] = None  # the solved LP over initial_rows, set on first use
 
 
 def build_instance(config: ExperimentConfig, need_opt: bool) -> Instance:
@@ -204,6 +214,34 @@ def _load_graph(config: ExperimentConfig) -> comb.Graph:
     return comb.random_gnp(config.nodes, config.density, config.seed)
 
 
+# The config fields that define an instance; runs that agree on them, and on a
+# graph file's text (so a file edited in place is a new instance), share it.
+_INSTANCE_FIELDS = ("problem", "nodes", "triangles", "density", "seed", "dim", "radius",
+                    "center_offset", "max_set_size", "initial_constraints", "graph_file")
+
+
+@functools.lru_cache(maxsize=1)
+def _shared_instance(key: tuple, need_opt: bool) -> Instance:
+    """The instance of the last key asked for, built once; its arrays are read-only."""
+    instance = build_instance(ExperimentConfig(**dict(zip(_INSTANCE_FIELDS, key))), need_opt)
+    for array in (instance.c, instance.lb, instance.ub, *(r.a for r in instance.initial_rows)):
+        if array is not None:
+            array.flags.writeable = False
+    return instance
+
+
+def _initial_lp(instance: Instance) -> _WarmStart:
+    """A copy of the instance's solved initial LP, from which an LP stop rule resumes."""
+    if instance.initial_lp is None:
+        lp = LinearProgram(instance.c, list(instance.initial_rows), lb=instance.lb, ub=instance.ub)
+        warm = _WarmStart()
+        warm.solve(lp)
+        for array in warm.final:
+            array.flags.writeable = False
+        instance.initial_lp = warm
+    return replace(instance.initial_lp)
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optional[str]]:
     """Execute one configured run; returns its summary and the trace path."""
     config.validate()
@@ -214,7 +252,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
         else:
             stop_kind = "cap" if config.method == "cutloop" else "gap"
     need_opt = config.init == "optimal" or stop_kind == "lp1pct"
-    instance = build_instance(config, need_opt)
+    text = Path(config.graph_file).read_text(encoding="utf-8") if config.graph_file else None
+    key = tuple(getattr(config, name) for name in _INSTANCE_FIELDS) + (text,)
+    instance = _shared_instance(key, need_opt)
     if need_opt and instance.opt_ref is None:
         raise ValueError("this run needs a computable reference optimum")
     if stop_kind == "lp1pct":
@@ -222,6 +262,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
             instance.opt_ref, instance.initial_rows, instance.lb, instance.ub,
             every=config.lp_check_every,
         )
+        if config.method != "cutloop":  # the cut loop never asks its stop rule for an LP
+            stop.warm = _initial_lp(instance)
     elif stop_kind == "gap":
         stop = GapStop(rel=config.epsilon)
     else:

@@ -12,6 +12,7 @@ from oracleopt.combinatorial import (
     best_violated_oddset,
     brute_force_matching_opt,
     clique_relaxation_opt,
+    degree_constraint,
     enumerate_maximal_cliques,
     generate_triangle_instance,
     make_graph,
@@ -336,6 +337,58 @@ class TestOddsetSeparation:
             assert row.violation(x) <= 1e-9
 
 
+def reference_max_weight_clique(graph: Graph, weights):
+    """The adjacency-matrix branch and bound that max_weight_clique replaced.
+
+    Kept as the bit-for-bit reference: same node order, same coloring
+    bound, same float additions in the same order.
+    """
+    weights = np.asarray(weights, dtype=float)
+    adj = graph.adjacency()
+    nodes = [v for v in range(graph.n_nodes) if weights[v] > 1e-9]
+    nodes.sort(key=lambda v: (-weights[v], v))
+    best_w = 0.0
+    best_set: tuple[int, ...] = ()
+
+    def color_bound(cands):
+        classes = []
+        bound = 0.0
+        for v in cands:
+            placed = False
+            for i, (wmax, members) in enumerate(classes):
+                if not any(adj[v, u] for u in members):
+                    members.append(v)
+                    if weights[v] > wmax:
+                        bound += weights[v] - wmax
+                        classes[i] = (weights[v], members)
+                    placed = True
+                    break
+            if not placed:
+                classes.append((weights[v], [v]))
+                bound += weights[v]
+        return bound
+
+    def expand(current, current_w, cands):
+        nonlocal best_w, best_set
+        if not cands:
+            if current_w > best_w:
+                best_w = current_w
+                best_set = tuple(sorted(current))
+            return
+        if current_w + color_bound(cands) <= best_w + 1e-15:
+            return
+        for i, v in enumerate(cands):
+            rest = cands[i + 1 :]
+            if current_w + weights[v] + sum(weights[u] for u in rest) <= best_w + 1e-15:
+                return
+            current.append(v)
+            expand(current, current_w + weights[v], [u for u in rest if adj[v, u]])
+            current.pop()
+
+    expand([], 0.0, nodes)
+    return best_w, best_set
+
+
 class TestCliqueSeparation:
     def test_triangle_at_half(self):
         result = separate_clique(K3, [0.5, 0.5, 0.5])
@@ -371,6 +424,23 @@ class TestCliqueSeparation:
                 default=0.0,
             )
             assert weight == pytest.approx(best, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["uniform", "tied", "dyadic"])
+    def test_max_weight_clique_matches_the_matrix_reference_bit_for_bit(self, kind):
+        rng = np.random.default_rng({"uniform": 5, "tied": 6, "dyadic": 7}[kind])
+        for trial in range(60):
+            n = int(rng.integers(1, 19))
+            g = random_gnp(n, float(rng.uniform(0.2, 0.9)), seed=300 + trial)
+            if kind == "uniform":
+                x = rng.uniform(-0.2, 1.0, size=n)
+            elif kind == "tied":
+                x = rng.choice([0.0, 0.25, 1 / 3, 0.5], size=n)
+            else:
+                x = rng.integers(0, 9, size=n) / 8.0
+            weight, clique = max_weight_clique(g, x)
+            ref_weight, ref_clique = reference_max_weight_clique(g, x)
+            assert clique == ref_clique
+            assert float(weight).hex() == float(ref_weight).hex()
 
 
 class TestReferenceOptima:
@@ -440,3 +510,14 @@ class TestOracles:
         assert len(ss_basic) == 6  # three bounds plus three edges
         with pytest.raises(ValueError):
             matching_initial_rows(g, "everything")
+
+    def test_degree_rows_mark_the_incident_edges(self):
+        for seed in range(5):
+            g = generate_triangle_instance(12, 5, seed=seed)
+            inc = g.incident_edges()
+            for v in range(g.n_nodes):
+                row = degree_constraint(g, v)
+                expected = np.zeros(g.n_edges)
+                expected[inc[v]] = 1.0
+                assert np.array_equal(row.a, expected)
+                assert (row.b, row.name) == (1.0, f"degree:{v}")

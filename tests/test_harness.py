@@ -1,11 +1,13 @@
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracleopt import harness
 from oracleopt.certificates import certificate_to_text, verify_certificate
 from oracleopt.cli import main
-from oracleopt.combinatorial import to_dimacs
+from oracleopt.combinatorial import generate_triangle_instance, to_dimacs
 from oracleopt.corrective import fully_corrective
 from oracleopt.harness import (
     ExperimentSummary,
@@ -61,6 +63,24 @@ class TestLoadConfig:
             load_config(None, {"problem": "sudoku"})
         with pytest.raises(ValueError, match="unknown stop"):
             load_config(None, {"stop": "never"})
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"problem": "synthetic-ball", "dim": 0}, "dim and nodes must be >= 1"),
+            ({"problem": "synthetic-polytope", "dim": -1}, "dim and nodes must be >= 1"),
+            ({"problem": "stableset", "nodes": 0}, "dim and nodes must be >= 1"),
+            ({"problem": "synthetic-ball", "graph_file": "g.dimacs"}, "graph file needs a graph"),
+        ],
+    )
+    def test_rejects_instances_that_cannot_be_built(self, overrides, message, monkeypatch):
+        built = []
+        monkeypatch.setattr(harness, "build_instance", lambda *args: built.append(args))
+        with pytest.raises(ValueError, match=message):
+            load_config(None, overrides)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(harness.ExperimentConfig(**overrides))
+        assert built == []
 
 
 class TestRunExperiment:
@@ -214,6 +234,109 @@ class TestRunExperiment:
         )
         with pytest.raises(ValueError):
             run_experiment(config)
+
+
+# The criterion-8 variants: (method, frequency, init).
+SWEEP_VARIANTS = [
+    ("polar", 0, "standard"), ("polar", 0, "optimal"),
+    ("polar", 1, "standard"), ("polar", 1, "optimal"),
+    ("polar", 10, "standard"), ("polar", 10, "optimal"),
+    ("cutloop", 0, "standard"),
+]
+SWEEP_GRAPHS = {
+    "matching": {"problem": "matching", "nodes": 15, "triangles": 16, "seed": 0,
+                 "max_set_size": 15},
+    "stableset": {"problem": "stableset", "nodes": 16, "density": 0.55, "seed": 3},
+}
+
+
+def clear_program_caches():
+    """Empty every cache in oracleopt, as a benchmark pass does before it starts."""
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "oracleopt" or name.startswith("oracleopt.")):
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def run_with_trace(overrides, out: Path, fresh: bool):
+    if fresh:
+        harness._shared_instance.cache_clear()
+    summary_row, trace_path = run_experiment(load_config(None, dict(overrides, out=str(out))))
+    return summary_row, Path(trace_path).read_bytes()
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The instances build_instance returns from here on, in order."""
+    built = []
+    real = harness.build_instance
+
+    def recording(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "build_instance", recording)
+    return built
+
+
+class TestSharedInstance:
+    """Consecutive runs on one instance share it and give the results of fresh runs."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        harness._shared_instance.cache_clear()
+
+    @pytest.mark.parametrize("family", sorted(SWEEP_GRAPHS))
+    def test_sweep_variants_match_fresh_runs(self, family, tmp_path):
+        base = SWEEP_GRAPHS[family]
+        for fresh in (False, True):
+            runs = []
+            for method, freq, init in SWEEP_VARIANTS:
+                overrides = dict(base, method=method, frequency=freq, init=init)
+                out = tmp_path / f"{fresh}-{method}-{freq}-{init}"
+                runs.append(run_with_trace(overrides, out, fresh))
+            if fresh:
+                assert runs == shared
+            shared = runs
+        assert all(summary_row.converged for summary_row, _ in shared)
+        assert min(summary_row.iterations for summary_row, _ in shared) > 0
+
+    def test_alternating_instances_match_fresh_runs(self, tmp_path):
+        a = dict(SWEEP_GRAPHS["matching"], triangles=10, seed=1, frequency=1)
+        b = dict(SWEEP_GRAPHS["stableset"], nodes=12, frequency=1)
+        order = [a, b, a]
+        shared = [run_with_trace(o, tmp_path / f"s{i}", False) for i, o in enumerate(order)]
+        fresh = [run_with_trace(o, tmp_path / f"f{i}", True) for i, o in enumerate(order)]
+        assert shared == fresh
+
+    def test_graph_file_edited_in_place_is_a_new_instance(self, tmp_path):
+        path = tmp_path / "g.dimacs"
+        overrides = {"problem": "matching", "graph_file": str(path), "max_set_size": 11}
+        results = []
+        for triangles in (2, 6):
+            path.write_text(to_dimacs(generate_triangle_instance(11, triangles, seed=4)))
+            results.append(run_with_trace(overrides, tmp_path / f"s{triangles}", False))
+        assert results[1] == run_with_trace(overrides, tmp_path / "fresh", True)
+        assert results[0][0].bound < results[1][0].bound
+
+    def test_shared_arrays_are_read_only(self, builds):
+        run_experiment(load_config(None, dict(SWEEP_GRAPHS["stableset"], out="")))
+        [instance] = builds
+        tableau, basis, allowed = instance.initial_lp.final
+        for array in (instance.c, instance.lb, instance.ub, instance.initial_rows[0].a,
+                      instance.initial_rows[-1].a, tableau, basis, allowed):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
+    def test_clearing_the_program_caches_rebuilds_the_instance(self, builds):
+        config = load_config(None, dict(SWEEP_GRAPHS["matching"], triangles=10, out=""))
+        run_experiment(config)
+        run_experiment(config)
+        assert len(builds) == 1
+        clear_program_caches()
+        run_experiment(config)
+        assert len(builds) == 2
 
 
 class TestEmitTable:
