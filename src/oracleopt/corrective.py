@@ -89,6 +89,12 @@ def min_norm_point(target, atoms, recession_nonneg: bool = False, start=None) ->
     its n + 1 heaviest atoms (stable ties, weights renormalized); without it
     the scheme starts from atom 0.  Packing calls (recession enabled) ignore
     it and start cold: the caller's weights carry no slack over the rays.
+
+    Plain calls solve each affine subproblem with one linear solve once a
+    Cholesky factor shows the corral affinely independent, and fall back to
+    an SVD least squares on the KKT system otherwise.  Packing calls always
+    take the least squares: their counts move with the last bit of the
+    solution, so they keep its exact results.
     """
     target = as_vector(target)
     atom_matrix = np.asarray(atoms, dtype=float)
@@ -129,7 +135,7 @@ def min_norm_point(target, atoms, recession_nonneg: bool = False, start=None) ->
         # rays whose coefficients hit zero.  Running them first turns a warm
         # start into a corral before any atom enters.
         for _ in range(len(active_atoms) + len(active_rays) + 2):
-            w_aff, t_aff = _affine_minimizer(shifted, active_atoms, active_rays)
+            w_aff, t_aff = _affine_minimizer(shifted, active_atoms, active_rays, recession_nonneg)
             if np.all(w_aff >= -1e-12) and np.all(t_aff >= -1e-12):
                 w = np.maximum(w_aff, 0.0)
                 s = w.sum()
@@ -200,15 +206,39 @@ def min_norm_point(target, atoms, recession_nonneg: bool = False, start=None) ->
     return MinNormResult(point=point, weights=weights, slack=slack, converged=converged)
 
 
-def _affine_minimizer(shifted, active_atoms, active_rays):
-    """Minimize ||S^T w + D t|| s.t. sum(w) = 1, with w, t unrestricted."""
+def _affine_minimizer(shifted, active_atoms, active_rays, recession_nonneg):
+    """Minimize ||S^T w + D t|| s.t. sum(w) = 1, with w, t unrestricted.
+
+    Plain calls solve M v = 1 with M = G + g 11^T, G = S S^T and g its
+    largest diagonal entry, and return w = v / sum(v): G w is then a
+    multiple of 1, the optimality condition.  M is positive definite exactly
+    when the active atoms are affinely independent, which its Cholesky
+    factor certifies; g keeps M as well scaled as G at any scale of the
+    atoms.  numpy has no triangular solve, so one LU solve of M (cheaper
+    than two on the factor) gives v.  A degenerate set (no factor, or v not
+    finite) and every packing call take the SVD least squares on the
+    bordered KKT system.  Packing calls keep it even on independent sets:
+    their counts move with the last bit of the solution.
+    """
     S = shifted[active_atoms]
     k = len(active_atoms)
+    gram = S @ S.T
+    if not recession_nonneg:
+        M = gram + gram.diagonal().max()
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            v = np.linalg.solve(M, np.ones(k))
+            w = v / v.sum()
+            if np.all(np.isfinite(w)):
+                return w, np.zeros(0)
     r = len(active_rays)
     size = k + r + 1
     kkt = np.zeros((size, size))
     rhs = np.zeros(size)
-    kkt[:k, :k] = S @ S.T
+    kkt[:k, :k] = gram
     if r:
         D = S[:, active_rays]  # <s_j, -e_i> = -S[j, i]
         kkt[:k, k : k + r] = -D

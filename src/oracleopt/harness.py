@@ -75,6 +75,10 @@ class ExperimentConfig:
             raise ValueError("lp_check_every must be >= 1")
         if self.dim < 1 or self.nodes < 1:
             raise ValueError("dim and nodes must be >= 1")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be > 0")
+        if not 0 <= self.density <= 1:
+            raise ValueError("density must be in [0, 1]")
         if self.graph_file and self.problem not in ("matching", "stableset"):
             raise ValueError(f"a graph file needs a graph problem, not {self.problem!r}")
         if self.max_set_size < 3:
@@ -167,6 +171,8 @@ def build_instance(config: ExperimentConfig, need_opt: bool) -> Instance:
     if config.problem == "stableset":
         graph = _load_graph(config)
         n = graph.n_nodes
+        if n == 0:
+            raise ValueError("stableset instance has no nodes")
         oracle = comb.StableSetOracle(graph)
         rows = comb.stableset_initial_rows(graph, config.initial_constraints)
         opt = comb.clique_relaxation_opt(graph) if need_opt else None

@@ -1,6 +1,7 @@
 import argparse
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -98,6 +99,35 @@ def test_run_rejects_max_set_size_below_three(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert built == []
     assert "max_set_size must be >= 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--stop", "gap", "--epsilon", "-1"], "epsilon must be > 0"),
+        (["--stop", "gap", "--epsilon", "nan"], "epsilon must be > 0"),
+        (["--density", "1.5"], r"density must be in \[0, 1\]"),
+        (["--density", "-0.1"], r"density must be in \[0, 1\]"),
+    ],
+    ids=["negative-epsilon", "nan-epsilon", "density-above-one", "negative-density"],
+)
+def test_run_rejects_unusable_epsilon_and_density(flags, message, tmp_path, monkeypatch, capsys):
+    # A negative epsilon ran to the iteration cap (GapStop never fires), and
+    # a density above 1 quietly built the complete graph.
+    built = []
+    monkeypatch.setattr(harness, "build_instance", lambda *args: built.append(args))
+    code = main(["run", "--problem", "stableset", "--nodes", "5", *flags, "--out", str(tmp_path)])
+    assert code == 1
+    assert built == []
+    assert re.search(message, capsys.readouterr().err)
+
+
+def test_run_rejects_stableset_graph_file_without_nodes(tmp_path, capsys):
+    graph = tmp_path / "empty.col"
+    graph.write_text("p edge 0 0\n")
+    code = main(["run", "--problem", "stableset", "--graph", str(graph), "--out", str(tmp_path)])
+    assert code == 1
+    assert "stableset instance has no nodes" in capsys.readouterr().err
 
 
 def test_verify_round_trip_with_instance(tmp_path):

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from oracleopt import corrective
 from oracleopt.corrective import (
     StrategyKind,
     UpdateStrategy,
@@ -152,6 +155,137 @@ class TestMinNormPoint:
         assert np.array_equal(warm.point, cold.point)
         assert np.array_equal(warm.weights, cold.weights)
         assert np.array_equal(warm.slack, cold.slack)
+
+
+def lstsq_affine_minimizer(shifted, active_atoms, active_rays, recession_nonneg):
+    """Reference: the SVD least squares on the bordered KKT system, for every call."""
+    S = shifted[active_atoms]
+    k = len(active_atoms)
+    r = len(active_rays)
+    size = k + r + 1
+    kkt = np.zeros((size, size))
+    rhs = np.zeros(size)
+    kkt[:k, :k] = S @ S.T
+    if r:
+        D = S[:, active_rays]
+        kkt[:k, k : k + r] = -D
+        kkt[k : k + r, :k] = -D.T
+        kkt[k : k + r, k : k + r] = np.eye(r)
+    kkt[:k, -1] = 1.0
+    kkt[-1, :k] = 1.0
+    rhs[-1] = 1.0
+    sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+    return sol[:k], sol[k : k + r]
+
+
+def reference_min_norm_point(*args, **kwargs):
+    with mock.patch.object(corrective, "_affine_minimizer", lstsq_affine_minimizer):
+        return min_norm_point(*args, **kwargs)
+
+
+class TestAffineSolveParity:
+    """Plain calls factor by Cholesky, packing calls keep the least squares.
+
+    The suite turns warnings into errors, so a call that hits the cycle
+    safeguard fails these tests even before `converged` is checked.
+    """
+
+    def test_packing_calls_are_bit_identical_to_least_squares(self):
+        rng = np.random.default_rng(61)
+        with_rays = without_rays = 0
+        for trial in range(200):
+            m, n = int(rng.integers(2, 25)), int(rng.integers(1, 9))
+            atoms = rng.normal(size=(m, n))
+            # A target above every atom leaves the rays out.
+            target = rng.normal(size=n) + (6.0 if trial % 2 else 0.0)
+            got = min_norm_point(target, atoms, recession_nonneg=True)
+            ref = reference_min_norm_point(target, atoms, recession_nonneg=True)
+            for field in ("point", "weights", "slack"):
+                assert getattr(got, field).tobytes() == getattr(ref, field).tobytes()
+            assert got.converged == ref.converged
+            if np.any(got.slack > 0):
+                with_rays += 1
+            else:
+                without_rays += 1
+        assert with_rays >= 50 and without_rays >= 50
+
+    def test_plain_calls_reach_the_reference_point(self):
+        rng = np.random.default_rng(67)
+        for _ in range(300):
+            m, n = int(rng.integers(2, 31)), int(rng.integers(1, 9))
+            atoms = rng.normal(size=(m, n))
+            target = rng.uniform(0.0, 3.0) * rng.normal(size=n)
+            start = rng.uniform(0.01, 1.0, size=m)
+            for kwargs in ({}, {"start": start / start.sum()}):
+                got = min_norm_point(target, atoms, **kwargs)
+                ref = reference_min_norm_point(target, atoms, **kwargs)
+                assert got.converged
+                assert np.linalg.norm(got.point - ref.point) <= 1e-9
+                assert got.weights.sum() == pytest.approx(1.0, abs=1e-12)
+                assert np.sum(got.weights > 0) <= n + 1
+
+    def test_plain_calls_keep_their_point_at_any_scale(self):
+        # The rank-one term grows with the Gram matrix, so large atoms factor
+        # as well as unit ones; the least squares on the bordered system
+        # loses the border at these scales and hits the cycle safeguard.
+        rng = np.random.default_rng(71)
+        for scale in (1e6, 1e9):
+            for _ in range(50):
+                m, n = int(rng.integers(2, 30)), int(rng.integers(1, 9))
+                atoms = rng.normal(size=(m, n))
+                target = rng.uniform(0.0, 3.0) * rng.normal(size=n)
+                unit = min_norm_point(target, atoms)
+                big = min_norm_point(scale * target, scale * atoms)
+                assert np.linalg.norm(big.point / scale - unit.point) <= 1e-9
+
+    @pytest.fixture
+    def cholesky_failures(self, monkeypatch):
+        """Sizes of the matrices np.linalg.cholesky refused during the test."""
+        failures = []
+        cholesky = np.linalg.cholesky
+
+        def counting_cholesky(a):
+            try:
+                return cholesky(a)
+            except np.linalg.LinAlgError:
+                failures.append(a.shape[0])
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        return failures
+
+    @pytest.mark.parametrize(
+        "target, atoms, start",
+        [
+            # exactly repeated atoms, started on both copies of each
+            ([0.3, -0.2, 0.1], [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]],
+             [0.2, 0.2, 0.2, 0.2, 0.2]),
+            # collinear atoms in 3-d: any three are affinely dependent
+            ([0.0, 2.0, -1.0], [[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3], [-1, -1, -1]],
+             [0.1, 0.3, 0.3, 0.2, 0.1]),
+            # coplanar atoms in 3-d: a warm start on four of them
+            ([0.4, 0.4, 2.0], [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.5, 0]],
+             [0.25, 0.25, 0.25, 0.25, 0.0]),
+        ],
+        ids=["repeated", "collinear", "coplanar-warm"],
+    )
+    def test_degenerate_corrals_fall_back_and_converge(self, target, atoms, start, cholesky_failures):
+        atoms = np.asarray(atoms, dtype=float)
+        for kwargs in ({}, {"start": start}):
+            got = min_norm_point(target, atoms, **kwargs)
+            ref = reference_min_norm_point(target, atoms, **kwargs)
+            assert got.converged
+            assert np.linalg.norm(got.point - ref.point) <= 1e-9
+            assert got.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert cholesky_failures, "no corral needed the least squares fallback"
+
+    def test_atom_at_the_target_falls_back(self, cholesky_failures):
+        # The cold start's one atom is the target: G = 0 has no factor.
+        res = min_norm_point([1.0, 2.0], [[1.0, 2.0], [3.0, 0.0]])
+        assert cholesky_failures == [1]
+        assert res.converged
+        assert np.array_equal(res.point, [1.0, 2.0])
+        assert np.array_equal(res.weights, [1.0, 0.0])
 
 
 @pytest.mark.parametrize(
