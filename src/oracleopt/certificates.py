@@ -3,9 +3,11 @@
 A certificate is a nonnegative combination of oracle-returned inequalities
 plus one inequality valid for the enclosing ball whose aggregation
 dominates the objective and therefore proves an upper bound on the optimum.
-Verification recomputes the aggregation from scratch and never trusts
-solver internals; serialized certificates carry their rows so a third party
-can check them with no solver code.
+It lists only the rows with a nonzero multiplier, since a zero row adds
+nothing to the aggregation (corrective steps leave most atoms at zero).
+Verification recomputes the aggregation from scratch, checks every listed
+row and never trusts solver internals; serialized certificates carry their
+rows so a third party can check them with no solver code.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ def build_polar_certificate(state, R: float) -> DualCertificate:
     return DualCertificate(
         setting="packing" if packing else "polar",
         objective=state.c.copy(),
-        rows=[(atom, gamma * w) for atom, w in zip(state.atoms, weights)],
+        rows=[(atom, m) for atom, m in zip(state.atoms, gamma * weights) if m != 0.0],
         ball_normal=ball_normal,
         ball_rhs=float(R),
         ball_coefficient=ball_coeff,
@@ -150,7 +152,7 @@ def build_general_certificate(state, R: float) -> DualCertificate:
     rnorm_p = float(np.linalg.norm(gap))
     claimed = gamma_out + (2.0 * R / lam) * cnorm * rnorm_p
 
-    rows = [(atom, cnorm * nu_i / lam) for atom, nu_i in zip(state.atoms, state.nu)]
+    rows = [(atom, m) for atom, m in zip(state.atoms, cnorm * state.nu / lam) if m != 0.0]
 
     head = -gap[:-1]
     head_norm = float(np.linalg.norm(head))
@@ -241,10 +243,10 @@ def verify_certificate(
     rows_in_history = True
     if constraint_history is not None:
         history = list(constraint_history)
-        ha = np.array([as_vector(h.a) for h in history])
-        hb = np.array([float(h.b) for h in history])
+        ha = np.array([h.a for h in history])
+        hb = np.array([h.b for h in history])
         for cons, m in cert.rows:
-            if abs(m) <= 1e-12:
+            if m == 0.0:
                 continue
             if not history or not (
                 np.isclose(cons.a, ha, atol=1e-9).all(axis=1) & (np.abs(cons.b - hb) <= 1e-9)
@@ -265,12 +267,11 @@ def verify_certificate(
     )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+_fmt = "{:.17g}".format
 
 
 def _fmt_vec(v: np.ndarray) -> str:
-    return " ".join(_fmt(x) for x in v)
+    return " ".join(map(_fmt, v.tolist()))
 
 
 def certificate_to_text(cert: DualCertificate) -> str:
@@ -300,7 +301,12 @@ def certificate_to_text(cert: DualCertificate) -> str:
     return out.getvalue()
 
 
+def _parse_vec(parts: list[str]) -> np.ndarray:
+    return np.fromiter(map(float, parts), float)
+
+
 def certificate_from_text(text: str) -> DualCertificate:
+    """Parse certificate_to_text's format; a malformed file raises ValueError naming its fault."""
     fields: dict[str, str] = {}
     multipliers: list[tuple[str, float]] = []
     rows: dict[str, Constraint] = {}
@@ -317,28 +323,42 @@ def certificate_from_text(text: str) -> DualCertificate:
             idx, val = rest.split()
             slack_entries.append((int(idx), float(val)))
         elif key == "row":
-            parts = rest.split()
-            name = parts[0]
-            b = float(parts[1])
-            a = np.array([float(x) for x in parts[2:]])
-            rows[name] = Constraint(a, b, ConstraintForm.RAW, name)
+            name, b, *a = rest.split()
+            rows[name] = Constraint(_parse_vec(a), float(b), ConstraintForm.RAW, name)
         else:
             fields[key] = rest
-    dim = int(fields["dimension"])
+
+    def field(key: str) -> str:
+        if key not in fields:
+            raise ValueError(f"certificate has no {key!r} line")
+        return fields[key]
+
+    dim = int(field("dimension"))
+    objective = _parse_vec(field("objective").split())
+    ball_normal = _parse_vec(field("ball-normal").split())
+    vectors = [("objective", objective), ("ball-normal", ball_normal)]
+    for label, vec in vectors + [(f"row {name!r}", cons.a) for name, cons in rows.items()]:
+        if vec.shape[0] != dim:
+            raise ValueError(f"{label} has {vec.shape[0]} entries, but the dimension is {dim}")
+    for name, _ in multipliers:
+        if name not in rows:
+            raise ValueError(f"multiplier names row {name!r}, which the certificate does not list")
     slack = None
-    if slack_entries or fields["setting"] == "packing":
+    if slack_entries or field("setting") == "packing":
         slack = np.zeros(dim)
         for i, s in slack_entries:
+            if not 0 <= i < dim:
+                raise ValueError(f"slack index {i} is outside the dimension {dim}")
             slack[i] = s
     return DualCertificate(
-        setting=fields["setting"],
-        objective=np.array([float(x) for x in fields["objective"].split()]),
+        setting=field("setting"),
+        objective=objective,
         rows=[(rows[name], mult) for name, mult in multipliers],
-        ball_normal=np.array([float(x) for x in fields["ball-normal"].split()]),
-        ball_rhs=float(fields["ball-rhs"]),
-        ball_coefficient=float(fields["ball-coefficient"]),
-        claimed_bound=float(fields["claimed-bound"]),
-        gamma=float(fields["gamma"]),
-        R=float(fields["R"]),
+        ball_normal=ball_normal,
+        ball_rhs=float(field("ball-rhs")),
+        ball_coefficient=float(field("ball-coefficient")),
+        claimed_bound=float(field("claimed-bound")),
+        gamma=float(field("gamma")),
+        R=float(field("R")),
         nonneg_slack=slack,
     )

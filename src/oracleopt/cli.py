@@ -108,7 +108,7 @@ def _cmd_verify(args) -> int:
         bad = [
             cons.name
             for cons, mult in cert.rows
-            if abs(mult) > 1e-12
+            if mult != 0.0
             and not _row_matches_instance(cons.name, cons, graph, args.problem)
         ]
         if bad:

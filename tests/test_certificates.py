@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracleopt import certificates
 from oracleopt.certificates import (
     CertificateUnavailableError,
     DualCertificate,
@@ -13,7 +14,8 @@ from oracleopt.certificates import (
     certificate_to_text,
     verify_certificate,
 )
-from oracleopt.oracle import BallOracle, Constraint, box_oracle
+from oracleopt.corrective import fully_corrective
+from oracleopt.oracle import BallOracle, Constraint, PolytopeOracle, box_oracle
 from oracleopt.solver_general import run_general
 from oracleopt.solver_polar import PolarMode, run_polar
 from oracleopt.trace import CapOnly, GapStop
@@ -22,6 +24,39 @@ from oracleopt.trace import CapOnly, GapStop
 def ball_run(max_iters=300):
     oracle = BallOracle(np.zeros(2), 1.0)
     return run_polar(oracle, [1.0, 0.0], gamma1=0.5, stop=GapStop(0.01), max_iters=max_iters)
+
+
+def corrective_run(setting, seed):
+    """A fully corrective run on a random polytope in R^5, and its certificate's
+    rows with every zero-weight atom kept, in atom order.
+
+    The polytope is 20 named unit-normal halfspaces <a, x> <= 1 plus a box:
+    [-1, 1]^5 for the polar and general settings, [0, 1]^5 with nonnegative
+    normals for packing.
+    """
+    n = 5
+    rng = np.random.default_rng(seed)
+    normals = rng.standard_normal((4 * n, n))
+    packing = setting == "packing"
+    if packing:
+        normals = np.abs(normals)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    rows = [Constraint(a, 1.0, name=f"half:{i}") for i, a in enumerate(normals)]
+    lo = np.zeros(n) if packing else -np.ones(n)
+    oracle = PolytopeOracle(rows, box_bounds=(lo, np.ones(n)), radius_outer=float(np.sqrt(n)))
+    c = rng.uniform(0.1, 1.0, n)
+    options = dict(stop=GapStop(0.01), max_iters=3000, strategy=fully_corrective(1))
+    if setting == "general":
+        res = run_general(oracle, c, **options)
+        state = res.state
+        return res, [(atom, state.cnorm * nu / state.lam) for atom, nu in zip(state.atoms, state.nu)]
+    mode = PolarMode.PACKING if packing else PolarMode.STANDARD
+    res = run_polar(oracle, c, gamma1=0.1 if packing else None, mode=mode, **options)
+    state = res.state
+    return res, [(atom, state.gamma * w) for atom, w in zip(state.atoms, state.weights)]
+
+
+SETTINGS = ("polar", "packing", "general")
 
 
 class TestBuildPolarCertificate:
@@ -121,6 +156,7 @@ class TestVerifyCertificate:
             ("b_off_2e-9", False),
             ("row_absent", False),
             ("zero_multiplier_row_absent", True),
+            ("tiny_multiplier_row_absent", False),
             ("empty_history", False),
         ],
     )
@@ -141,6 +177,9 @@ class TestVerifyCertificate:
             history = history[1:]
         elif case == "zero_multiplier_row_absent":
             history = history[:2]
+        elif case == "tiny_multiplier_row_absent":
+            rows[2] = (rows[2][0], 1e-13)
+            history = history[:2]
         elif case == "empty_history":
             history = []
         normal = 0.5 * np.array([1.0, 0.0]) + 0.5 * np.array([0.6, 0.8])
@@ -152,7 +191,7 @@ class TestVerifyCertificate:
         reference = all(
             any(np.allclose(cons.a, h.a, atol=1e-9) and abs(cons.b - h.b) <= 1e-9 for h in history)
             for cons, m in rows
-            if abs(m) > 1e-12
+            if m != 0
         )
         assert reference is expected
         report = verify_certificate(cert, constraint_history=history)
@@ -174,6 +213,49 @@ class TestVerifyCertificate:
         sample = rng.uniform(0, 1, size=(500, 3))
         values = sample @ cert.objective
         assert float(values.max()) <= cert.claimed_bound + 1e-6
+
+
+class TestSparseRows:
+    """Certificates list only the rows with a nonzero multiplier."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_no_row_has_a_zero_multiplier(self, setting, seed):
+        res, full = corrective_run(setting, seed)
+        cert = res.certificate
+        assert cert.setting == setting
+        assert any(m == 0.0 for _, m in full)  # the run left zero-weight atoms
+        assert all(m != 0.0 for _, m in cert.rows)
+        kept = [(cons, m) for cons, m in full if m != 0.0]
+        assert [(id(cons), m) for cons, m in cert.rows] == [(id(cons), m) for cons, m in kept]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_zero_weight_atoms_do_not_change_the_report(self, setting, seed):
+        res, full = corrective_run(setting, seed)
+        cert = res.certificate
+        padded = dataclasses.replace(cert, rows=full)
+        assert len(padded.rows) > len(cert.rows)
+        for history in (None, res.state.atoms):
+            report = verify_certificate(cert, constraint_history=history)
+            assert report.passed
+            assert repr(report) == repr(verify_certificate(padded, constraint_history=history))
+
+    def test_general_certificate_without_rows_verifies(self):
+        # All weight on the target, none on any atom: the ball row alone certifies.
+        oracle = BallOracle(np.zeros(3), 1.0)
+        res = run_general(oracle, [1.0, 2.0, 2.0], R=1.0, stop=CapOnly(), max_iters=0)
+        state = res.state
+        state.lam = 1.0
+        state.nu = np.zeros(len(state.atoms))
+        state.atom_part = np.zeros_like(state.gap_vec)
+        state.gap_vec = -state.target_lifted()
+        cert = build_general_certificate(state, R=1.0)
+        assert cert.rows == []
+        assert verify_certificate(cert).passed
+        assert verify_certificate(cert, constraint_history=state.atoms).passed
+        back = certificate_from_text(certificate_to_text(cert))
+        assert back.rows == [] and verify_certificate(back).passed
 
 
 class TestSerialization:
@@ -199,3 +281,37 @@ class TestSerialization:
         back = certificate_from_text(certificate_to_text(cert))
         assert np.allclose(back.nonneg_slack, cert.nonneg_slack)
         assert verify_certificate(back).passed
+
+    @staticmethod
+    def per_element_fmt_vec(v):
+        """The former formatter, one f-string per entry: the byte reference."""
+        return " ".join(f"{x:.17g}" for x in v)
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_text_matches_per_element_formatter(self, setting, monkeypatch):
+        cert = corrective_run(setting, 0)[0].certificate
+        text = certificate_to_text(cert)
+        monkeypatch.setattr(certificates, "_fmt_vec", self.per_element_fmt_vec)
+        assert certificate_to_text(cert) == text
+
+    def test_adversarial_vectors_format_and_parse_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1 / 3, -1 / 3,
+                   1e308, -1e308, np.nextafter(1.0, 2.0), 0.1]
+        bits = rng.integers(0, 2**64, size=5000, dtype=np.uint64).view(np.float64)
+        v = np.concatenate([special, bits[np.isfinite(bits)]])
+        nonfinite = np.array([np.inf, -np.inf, np.nan, 1.0])
+        for vec in (v, nonfinite):
+            assert certificates._fmt_vec(vec) == self.per_element_fmt_vec(vec)
+        cert = DualCertificate(
+            setting="general", objective=v, rows=[(Constraint(v[::-1], 1 / 3, name="r"), 0.5)],
+            ball_normal=-v, ball_rhs=1e308, ball_coefficient=5e-324, claimed_bound=-0.0,
+            gamma=1 / 3, R=2.0,
+        )
+        text = certificate_to_text(cert)
+        back = certificate_from_text(text)
+        for got, want in ((back.objective, v), (back.ball_normal, -v), (back.rows[0][0].a, v[::-1])):
+            assert got.tobytes() == want.tobytes()
+        assert certificate_to_text(back) == text
+        monkeypatch.setattr(certificates, "_fmt_vec", self.per_element_fmt_vec)
+        assert certificate_to_text(cert) == text

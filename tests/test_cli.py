@@ -13,7 +13,7 @@ import pytest
 
 import oracleopt
 from oracleopt import harness
-from oracleopt.certificates import certificate_to_text
+from oracleopt.certificates import certificate_to_text, verify_certificate
 from oracleopt.corrective import fully_corrective
 from oracleopt.cli import _build_parser, _row_matches_instance, main
 from oracleopt.combinatorial import (
@@ -209,17 +209,21 @@ def test_verify_accepts_positive_multiples_of_instance_rows():
         assert _row_matches_instance(name, row, graph, "matching") is valid
 
 
-def test_verify_with_instance_checks_objective_and_radius(tmp_path):
-    # Both forgeries keep the aggregation consistent with the objective and R
-    # stored in the certificate, and claim a bound below the optimum 4.
-    graph = generate_triangle_instance(12, 4, 2)
+def fc1_matching_run(graph):
+    """A fully corrective packing run to a 5% gap on a matching instance."""
     d = graph.n_edges
-    res = run_polar(
+    return run_polar(
         MatchingOracle(graph, max_set_size=11), np.ones(d), gamma1=1.0, stop=GapStop(0.05),
         max_iters=500, strategy=fully_corrective(1), mode=PolarMode.PACKING,
         initial_constraints=matching_initial_rows(graph, "basic"),
     )
-    honest = res.certificate
+
+
+def test_verify_with_instance_checks_objective_and_radius(tmp_path):
+    # Both forgeries keep the aggregation consistent with the objective and R
+    # stored in the certificate, and claim a bound below the optimum 4.
+    graph = generate_triangle_instance(12, 4, 2)
+    honest = fc1_matching_run(graph).certificate
     small_ball = replace(honest, R=honest.R / 1000, ball_rhs=honest.ball_rhs / 1000)
     small_ball = replace(small_ball, claimed_bound=(
         sum(m * cons.b for cons, m in small_ball.rows)
@@ -252,6 +256,69 @@ def test_verify_with_instance_checks_objective_and_radius(tmp_path):
         assert verify(forged, "g.dimacs") == 1
     assert verify(honest, "g.dimacs") == 0
     assert verify(honest, "other.dimacs") == 1  # another dimension
+
+
+def test_verify_checks_rows_with_tiny_multipliers(tmp_path, capsys):
+    # The honest certificate halved, plus a forged row whose tiny multiplier
+    # restores the objective: the aggregation passes for a bound below the
+    # optimum 4, so only checking that row against the instance rejects it.
+    graph = generate_triangle_instance(12, 4, 2)
+    d = graph.n_edges
+    res = fc1_matching_run(graph)
+    honest = res.certificate
+    forged_row = Constraint(5e12 * np.ones(d), 0.0, name="degree:0")
+    forged = replace(
+        honest,
+        rows=[(cons, m / 2) for cons, m in honest.rows] + [(forged_row, 1e-13)],
+        ball_coefficient=honest.ball_coefficient / 2,
+        nonneg_slack=honest.nonneg_slack / 2,
+        gamma=honest.gamma / 2,
+        claimed_bound=honest.claimed_bound / 2,
+    )
+    assert forged.claimed_bound < 4
+    assert verify_certificate(forged, c=np.ones(d), R=np.sqrt(d)).passed
+    assert not verify_certificate(forged, constraint_history=res.state.atoms).rows_in_history
+    assert verify_certificate(honest, constraint_history=res.state.atoms).rows_in_history
+
+    (tmp_path / "g.dimacs").write_text(to_dimacs(graph))
+    (tmp_path / "run.cert").write_text(certificate_to_text(forged))
+    capsys.readouterr()
+    assert main(["verify", "--certificate", str(tmp_path / "run.cert"),
+                 "--instance", str(tmp_path / "g.dimacs"), "--problem", "matching"]) == 1
+    out = capsys.readouterr().out
+    assert "aggregation checks: pass" in out
+    assert "rows not valid for the instance: degree:0" in out
+
+
+def _drop_row_line(lines, name):
+    return [line for line in lines if not line.startswith(f"row {name} ")]
+
+
+def _shorten_row_line(lines, name):
+    return [line.rsplit(" ", 1)[0] if line.startswith(f"row {name} ") else line for line in lines]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_drop_row_line, "multiplier names row {name!r}, which the certificate does not list"),
+        (_shorten_row_line, "row {name!r} has {short} entries, but the dimension is {d}"),
+        (lambda lines, name: lines + ["slack 99 0.5"], "slack index 99 is outside the dimension {d}"),
+        (lambda lines, name: [x for x in lines if not x.startswith("dimension ")],
+         "certificate has no 'dimension' line"),
+    ],
+    ids=["absent_row", "short_row", "slack_index", "no_dimension"],
+)
+def test_verify_names_the_fault_of_a_malformed_certificate(corrupt, message, tmp_path, capsys):
+    graph = generate_triangle_instance(9, 3, 0)
+    d = graph.n_edges
+    lines = certificate_to_text(fc1_matching_run(graph).certificate).splitlines()
+    name = next(line.split()[1] for line in lines if line.startswith("multiplier "))
+    (tmp_path / "run.cert").write_text("\n".join(corrupt(lines, name)) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--certificate", str(tmp_path / "run.cert")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: " + message.format(name=name, d=d, short=d - 1) + "\n"
 
 
 def test_verify_without_instance_says_only_self_consistency_was_checked(tmp_path, capsys):
