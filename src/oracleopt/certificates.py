@@ -13,7 +13,7 @@ rows so a third party can check them with no solver code.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -62,27 +62,11 @@ class VerifyReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.multipliers_nonneg
-            and self.normal_matches
-            and self.rhs_within_bound
-            and self.bound_above_gamma
-            and self.ball_row_valid
-            and self.slack_nonneg
-            and self.rows_in_history
-        )
+        return not self.failures()
 
     def failures(self) -> list[str]:
-        names = [
-            "multipliers_nonneg",
-            "normal_matches",
-            "rhs_within_bound",
-            "bound_above_gamma",
-            "ball_row_valid",
-            "slack_nonneg",
-            "rows_in_history",
-        ]
-        return [n for n in names if not getattr(self, n)]
+        """The checks that failed, in field order: every bool field is a check."""
+        return [f.name for f in fields(self) if f.type == "bool" and not getattr(self, f.name)]
 
 
 def build_polar_certificate(state, R: float) -> DualCertificate:
@@ -97,8 +81,7 @@ def build_polar_certificate(state, R: float) -> DualCertificate:
 
     gamma = state.gamma
     weights = np.asarray(state.weights, dtype=float)
-    matrix = state.atom_matrix()
-    combo = weights @ matrix
+    combo = weights @ state.atoms.matrix
     packing = state.mode is PolarMode.PACKING
     reference = state.shadow if packing else state.aggregate
 
@@ -124,7 +107,7 @@ def build_polar_certificate(state, R: float) -> DualCertificate:
     return DualCertificate(
         setting="packing" if packing else "polar",
         objective=state.c.copy(),
-        rows=[(atom, m) for atom, m in zip(state.atoms, gamma * weights) if m != 0.0],
+        rows=[(atom, m) for atom, m in zip(state.atoms.rows, gamma * weights) if m != 0.0],
         ball_normal=ball_normal,
         ball_rhs=float(R),
         ball_coefficient=ball_coeff,
@@ -152,7 +135,7 @@ def build_general_certificate(state, R: float) -> DualCertificate:
     rnorm_p = float(np.linalg.norm(gap))
     claimed = gamma_out + (2.0 * R / lam) * cnorm * rnorm_p
 
-    rows = [(atom, m) for atom, m in zip(state.atoms, cnorm * state.nu / lam) if m != 0.0]
+    rows = [(atom, m) for atom, m in zip(state.atoms.rows, cnorm * state.nu / lam) if m != 0.0]
 
     head = -gap[:-1]
     head_norm = float(np.linalg.norm(head))
@@ -291,7 +274,9 @@ def certificate_to_text(cert: DualCertificate) -> str:
     named = {}
     for i, (cons, mult) in enumerate(cert.rows):
         name = cons.name or f"row{i}"
-        named[name] = cons
+        kept = named.setdefault(name, cons)
+        if kept is not cons and (kept.b != cons.b or not np.array_equal(kept.a, cons.a)):
+            raise ValueError(f"two different certificate rows are named {name!r}")
         out.write(f"multiplier {name} {_fmt(mult)}\n")
     if cert.nonneg_slack is not None:
         for i, s in enumerate(cert.nonneg_slack):
@@ -301,13 +286,13 @@ def certificate_to_text(cert: DualCertificate) -> str:
     return out.getvalue()
 
 
-def _parse_vec(parts: list[str]) -> np.ndarray:
-    return np.fromiter(map(float, parts), float)
+def _parse_vec(text: str) -> np.ndarray:
+    return np.fromiter(map(float, text.split()), float)
 
 
 def certificate_from_text(text: str) -> DualCertificate:
     """Parse certificate_to_text's format; a malformed file raises ValueError naming its fault."""
-    fields: dict[str, str] = {}
+    values: dict[str, str] = {}
     multipliers: list[tuple[str, float]] = []
     rows: dict[str, Constraint] = {}
     slack_entries: list[tuple[int, float]] = []
@@ -316,26 +301,32 @@ def certificate_from_text(text: str) -> DualCertificate:
         if not line or line.startswith("#"):
             continue
         key, _, rest = line.partition(" ")
-        if key == "multiplier":
-            name, val = rest.rsplit(" ", 1)
-            multipliers.append((name, float(val)))
-        elif key == "slack":
-            idx, val = rest.split()
-            slack_entries.append((int(idx), float(val)))
-        elif key == "row":
-            name, b, *a = rest.split()
-            rows[name] = Constraint(_parse_vec(a), float(b), ConstraintForm.RAW, name)
-        else:
-            fields[key] = rest
+        try:
+            if key == "multiplier":
+                name, val = rest.rsplit(" ", 1)
+                multipliers.append((name, float(val)))
+            elif key == "slack":
+                idx, val = rest.split()
+                slack_entries.append((int(idx), float(val)))
+            elif key == "row":
+                name, b, a = rest.split(maxsplit=2)
+                rows[name] = Constraint(_parse_vec(a), float(b), ConstraintForm.RAW, name)
+            else:
+                values[key] = rest
+        except ValueError:
+            raise ValueError(f"malformed line {line!r}") from None
 
-    def field(key: str) -> str:
-        if key not in fields:
+    def field(key: str, parse=str):
+        if key not in values:
             raise ValueError(f"certificate has no {key!r} line")
-        return fields[key]
+        try:
+            return parse(values[key])
+        except ValueError:
+            raise ValueError(f"the {key} line {values[key]!r} is not numeric") from None
 
-    dim = int(field("dimension"))
-    objective = _parse_vec(field("objective").split())
-    ball_normal = _parse_vec(field("ball-normal").split())
+    dim = field("dimension", int)
+    objective = field("objective", _parse_vec)
+    ball_normal = field("ball-normal", _parse_vec)
     vectors = [("objective", objective), ("ball-normal", ball_normal)]
     for label, vec in vectors + [(f"row {name!r}", cons.a) for name, cons in rows.items()]:
         if vec.shape[0] != dim:
@@ -355,10 +346,10 @@ def certificate_from_text(text: str) -> DualCertificate:
         objective=objective,
         rows=[(rows[name], mult) for name, mult in multipliers],
         ball_normal=ball_normal,
-        ball_rhs=float(field("ball-rhs")),
-        ball_coefficient=float(field("ball-coefficient")),
-        claimed_bound=float(field("claimed-bound")),
-        gamma=float(field("gamma")),
-        R=float(field("R")),
+        ball_rhs=field("ball-rhs", float),
+        ball_coefficient=field("ball-coefficient", float),
+        claimed_bound=field("claimed-bound", float),
+        gamma=field("gamma", float),
+        R=field("R", float),
         nonneg_slack=slack,
     )

@@ -6,7 +6,8 @@ full or partial projection onto the convex hull of all known constraints
 (a min-norm-point computation) and an orthant-aware segment update for
 packing problems.  Every strategy keeps the segment update's distance
 guarantee: its output is never farther from the target than the plain
-projection.
+projection.  AtomSet stores the rows both solvers combine and the matrix
+of their vectors that corrective steps and certificates read.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .geometry import as_vector, min_piecewise_quadratic_on_segment
+from .oracle import Constraint
 
 _OPT_TOL = 1e-10
 
@@ -67,6 +69,31 @@ def segment_plus_nonneg() -> UpdateStrategy:
     return UpdateStrategy(StrategyKind.SEGMENT_PLUS_NONNEG)
 
 
+class AtomSet:
+    """The rows a solver combines; matrix[i] is the vector it combines for rows[i].
+
+    A row whose name is already stored maps to the stored one; unnamed rows
+    are never merged.  The matrix is C-contiguous and grows by one row per
+    new row, so corrective steps and certificates read it as is.
+    """
+
+    def __init__(self, row: Constraint, vector: np.ndarray):
+        self.rows: list[Constraint] = []
+        self.matrix = np.zeros((0, len(vector)))
+        self._index: dict[str, int] = {}
+        self.add(row, vector)
+
+    def add(self, row: Constraint, vector: np.ndarray) -> int:
+        """Index of the row named like `row`, appending `row` and `vector` if new."""
+        if row.name in self._index:
+            return self._index[row.name]
+        if row.name:
+            self._index[row.name] = len(self.rows)
+        self.rows.append(row)
+        self.matrix = np.concatenate((self.matrix, vector[None]))
+        return len(self.rows) - 1
+
+
 @dataclass
 class MinNormResult:
     point: np.ndarray
@@ -97,13 +124,13 @@ def min_norm_point(target, atoms, recession_nonneg: bool = False, start=None) ->
     solution, so they keep its exact results.
     """
     target = as_vector(target)
-    atom_matrix = np.asarray(atoms, dtype=float)
-    m, n = atom_matrix.shape if atom_matrix.ndim == 2 else (0, 0)
+    matrix = np.asarray(atoms, dtype=float)
+    m, n = matrix.shape if matrix.ndim == 2 else (0, 0)
     if m == 0 or n != target.shape[0]:
         raise ValueError(f"need at least one atom, as a row of length {target.shape[0]}")
-    if not np.all(np.isfinite(atom_matrix)):
+    if not np.all(np.isfinite(matrix)):
         raise ValueError("atom entries must be finite")
-    shifted = atom_matrix - target  # minimize ||shifted^T w + D t||
+    shifted = matrix - target  # minimize ||shifted^T w + D t||
 
     # Active sets: atom indices and, in the recession case, ray coordinates
     # (rays are the negated unit vectors).

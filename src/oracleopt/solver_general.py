@@ -54,8 +54,7 @@ class GeneralState:
     lam: float  # weight on the negated target
     gap_vec: np.ndarray  # p, length n+1; Euclidean norm = lifted norm
     atom_part: np.ndarray  # sum of nu_i * lifted atom i
-    atoms: list[Constraint]  # caller-unit rows; atoms[0] is <0, x> <= R
-    atom_lifted: list[np.ndarray]
+    atoms: corr.AtomSet  # caller-unit rows, matrix of their lifted (a, b / R); row 0 is <0, x> <= R
     nu: np.ndarray  # conic weights over atoms, sum(nu) + lam == 1
     cnorm: float
     R: float
@@ -63,7 +62,6 @@ class GeneralState:
     oracle_calls: int = 0
     incumbent: Optional[np.ndarray] = None
     cuts: list[Constraint] = field(default_factory=list)
-    atom_index: dict[str, int] = field(default_factory=dict)
 
     @property
     def gamma_out(self) -> float:
@@ -96,16 +94,11 @@ def _ingest_cut(state: GeneralState, cons: Constraint) -> int:
         # A row weaker than the enclosing ball carries no extra information;
         # tightening keeps it valid and preserves the violation.
         cons = Constraint(cons.a, state.R, ConstraintForm.UNIT, cons.name)
-    if cons.name:
-        existing = state.atom_index.get(cons.name)
-        if existing is not None:
-            return existing
-        state.atom_index[cons.name] = len(state.atoms)
-    state.atoms.append(cons)
-    state.atom_lifted.append(np.append(cons.a, cons.b / state.R))
-    state.nu = np.append(state.nu, 0.0)
-    state.cuts.append(cons)
-    return len(state.atoms) - 1
+    index = state.atoms.add(cons, np.append(cons.a, cons.b / state.R))
+    if index == len(state.nu):
+        state.nu = np.append(state.nu, 0.0)
+        state.cuts.append(cons)
+    return index
 
 
 def _segment_to(state: GeneralState, vec: np.ndarray, atom_idx: Optional[int]) -> float:
@@ -123,17 +116,14 @@ def _segment_to(state: GeneralState, vec: np.ndarray, atom_idx: Optional[int]) -
     else:
         state.lam *= 1.0 - theta
         state.nu[atom_idx] += theta
-        state.atom_part += theta * state.atom_lifted[atom_idx]
+        state.atom_part += theta * state.atoms.matrix[atom_idx]
     return theta
 
 
 def general_step(
-    state: GeneralState,
-    oracle: SeparationOracle,
-    strategy: corr.UpdateStrategy | None = None,
+    state: GeneralState, oracle: SeparationOracle, strategy: corr.UpdateStrategy
 ) -> StepKind:
     """Advance the state by one iteration; returns which branch fired."""
-    strategy = strategy or corr.segment_only()
     state.t += 1
     norm_before = state.rnorm_gap
 
@@ -142,8 +132,8 @@ def general_step(
 
     if candidate is None:
         kind = StepKind.SHRINK_BALL
-        require(float(state.atom_lifted[0] @ state.gap_vec) <= 1e-9, "ball row is no descent")
-        _segment_to(state, state.atom_lifted[0], 0)
+        require(float(state.atoms.matrix[0] @ state.gap_vec) <= 1e-9, "ball row is no descent")
+        _segment_to(state, state.atoms.matrix[0], 0)
     else:
         value = float(state.c_unit @ candidate)
         if value <= state.gamma:
@@ -168,7 +158,7 @@ def general_step(
                 state.nu[0] += (beta - 1.0) / beta
                 state.atom_part = state.atom_part / beta + (
                     (beta - 1.0) / beta
-                ) * state.atom_lifted[0]
+                ) * state.atoms.matrix[0]
                 state.lam /= beta
                 neg_target = -state.target_lifted()
                 ortho = float(state.gap_vec @ neg_target)
@@ -177,9 +167,9 @@ def general_step(
             else:
                 kind = StepKind.DUAL_CUT
                 idx = _ingest_cut(state, result.constraint)
-                descent = float(state.atom_lifted[idx] @ state.gap_vec)
+                descent = float(state.atoms.matrix[idx] @ state.gap_vec)
                 require(descent <= 1e-9, "the cut is not violated at the query")
-                _segment_to(state, state.atom_lifted[idx], idx)
+                _segment_to(state, state.atoms.matrix[idx], idx)
 
     if strategy.corrective_due(state.t):
         _corrective_rebuild(state)
@@ -200,14 +190,14 @@ def general_step(
 def _corrective_rebuild(state: GeneralState) -> None:
     """Replace the gap vector by the norm minimizer over the admissible hull."""
     neg_target = -state.target_lifted()
-    cloud = np.array(state.atom_lifted + [neg_target])
+    cloud = np.vstack([state.atoms.matrix, neg_target])
     res = corr.min_norm_point(np.zeros(cloud.shape[1]), cloud, start=np.append(state.nu, state.lam))
     cand_norm = float(np.linalg.norm(res.point))
     if cand_norm <= state.rnorm_gap + 1e-9:
         state.gap_vec = res.point
         state.nu = res.weights[:-1].copy()
         state.lam = float(res.weights[-1])
-        state.atom_part = state.nu @ np.array(state.atom_lifted)
+        state.atom_part = state.nu @ state.atoms.matrix
 
 
 def run_general(
@@ -245,8 +235,7 @@ def run_general(
         lam=0.0,
         gap_vec=np.append(np.zeros(dim), 1.0),
         atom_part=np.append(np.zeros(dim), 1.0),
-        atoms=[ball_row],
-        atom_lifted=[np.append(np.zeros(dim), 1.0)],
+        atoms=corr.AtomSet(ball_row, np.append(np.zeros(dim), 1.0)),
         nu=np.array([1.0]),
         cnorm=cnorm,
         R=float(R),

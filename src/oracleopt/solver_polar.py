@@ -57,21 +57,17 @@ class PolarState:
     c: np.ndarray
     target: np.ndarray  # f = c / gamma
     aggregate: np.ndarray  # q, the maintained valid-inequality vector
-    atoms: list[Constraint]  # polar-normalized rows; atoms[0] is the zero row
+    atoms: corr.AtomSet  # polar-normalized rows, matrix of their a; row 0 is the zero row
     weights: np.ndarray  # simplex weights over atoms
     mode: PolarMode
     shadow: Optional[np.ndarray] = None  # packing: weights @ atoms >= aggregate
     oracle_calls: int = 0
     incumbent: Optional[np.ndarray] = None
     cuts: list[Constraint] = field(default_factory=list)
-    atom_index: dict[str, int] = field(default_factory=dict)
 
     @property
     def residual(self) -> float:
         return float(np.linalg.norm(self.target - self.aggregate))
-
-    def atom_matrix(self) -> np.ndarray:
-        return np.array([a.a for a in self.atoms])
 
 
 @dataclass
@@ -132,24 +128,17 @@ def _ingest_cut(state: PolarState, cons: Constraint) -> int:
         # Down-closed bodies admit the positive part of any valid row, and
         # clipping keeps the constraint norms bounded by 1/r.
         cons = Constraint(np.maximum(cons.a, 0.0), 1.0, ConstraintForm.POLAR, cons.name)
-    if cons.name:
-        existing = state.atom_index.get(cons.name)
-        if existing is not None:
-            return existing
-        state.atom_index[cons.name] = len(state.atoms)
-    state.atoms.append(cons)
-    state.weights = np.append(state.weights, 0.0)
-    state.cuts.append(cons)
-    return len(state.atoms) - 1
+    index = state.atoms.add(cons, cons.a)
+    if index == len(state.weights):
+        state.weights = np.append(state.weights, 0.0)
+        state.cuts.append(cons)
+    return index
 
 
 def polar_step(
-    state: PolarState,
-    oracle: SeparationOracle,
-    strategy: corr.UpdateStrategy | None = None,
+    state: PolarState, oracle: SeparationOracle, strategy: corr.UpdateStrategy
 ) -> StepKind:
     """Advance the state by one iteration; returns which branch fired."""
-    strategy = strategy or corr.segment_only()
     state.t += 1
     gamma_before = state.gamma
     residual_before = state.residual
@@ -188,7 +177,7 @@ def polar_step(
 
 def _update_aggregate(state: PolarState, anchor: int, strategy: corr.UpdateStrategy) -> None:
     f = state.target
-    anchor_vec = state.atoms[anchor].a
+    anchor_vec = state.atoms.matrix[anchor]
     packing = state.mode is PolarMode.PACKING
 
     seg_point, lam = project_point_to_segment(anchor_vec, state.aggregate, f)
@@ -213,7 +202,7 @@ def _update_aggregate(state: PolarState, anchor: int, strategy: corr.UpdateStrat
             state.aggregate = q_new
             return
     elif strategy.corrective_due(state.t):
-        matrix = state.atom_matrix()
+        matrix = state.atoms.matrix
         if strategy.kind is corr.StrategyKind.PARTIALLY_CORRECTIVE:
             res = corr.partially_corrective_update(
                 f, matrix, seg_weights, anchor, 2 * f.shape[0], recession_nonneg=packing
@@ -276,19 +265,19 @@ def run_polar(
         raise ValueError("initial objective value must be positive")
 
     dim = c.shape[0]
+    zero_row = Constraint(np.zeros(dim), 1.0, ConstraintForm.POLAR, "zero")
     state = PolarState(
         t=0,
         gamma=float(gamma1),
         c=c,
         target=c / gamma1,
         aggregate=np.zeros(dim),
-        atoms=[Constraint(np.zeros(dim), 1.0, ConstraintForm.POLAR, "zero")],
+        atoms=corr.AtomSet(zero_row, zero_row.a),
         weights=np.array([1.0]),
         mode=mode,
         shadow=np.zeros(dim) if mode is PolarMode.PACKING else None,
         oracle_calls=init_calls,
         incumbent=incumbent0,
-        atom_index={"zero": 0},
     )
     for cons in initial_constraints:
         _ingest_cut(state, cons)

@@ -49,11 +49,11 @@ def corrective_run(setting, seed):
     if setting == "general":
         res = run_general(oracle, c, **options)
         state = res.state
-        return res, [(atom, state.cnorm * nu / state.lam) for atom, nu in zip(state.atoms, state.nu)]
+        return res, [(atom, state.cnorm * nu / state.lam) for atom, nu in zip(state.atoms.rows, state.nu)]
     mode = PolarMode.PACKING if packing else PolarMode.STANDARD
     res = run_polar(oracle, c, gamma1=0.1 if packing else None, mode=mode, **options)
     state = res.state
-    return res, [(atom, state.gamma * w) for atom, w in zip(state.atoms, state.weights)]
+    return res, [(atom, state.gamma * w) for atom, w in zip(state.atoms.rows, state.weights)]
 
 
 SETTINGS = ("polar", "packing", "general")
@@ -75,7 +75,7 @@ class TestBuildPolarCertificate:
         state.c = np.array([1.1, 0.0])
         state.target = np.array([1.1, 0.0])
         state.aggregate = np.array([1.0, 0.0])
-        state.weights = np.zeros(len(state.atoms))
+        state.weights = np.zeros(len(state.atoms.rows))
         state.weights[1] = 1.0  # the separated tangent row (1, 0) <= 1
         cert = build_polar_certificate(state, R=1.0)
         assert cert.claimed_bound == pytest.approx(1.1)
@@ -143,7 +143,7 @@ class TestVerifyCertificate:
     def test_history_membership_check(self):
         res = ball_run()
         cert = res.certificate
-        history = res.state.atoms
+        history = res.state.atoms.rows
         assert verify_certificate(cert, constraint_history=history).passed
         assert not verify_certificate(cert, constraint_history=history[:1]).rows_in_history
 
@@ -236,7 +236,7 @@ class TestSparseRows:
         cert = res.certificate
         padded = dataclasses.replace(cert, rows=full)
         assert len(padded.rows) > len(cert.rows)
-        for history in (None, res.state.atoms):
+        for history in (None, res.state.atoms.rows):
             report = verify_certificate(cert, constraint_history=history)
             assert report.passed
             assert repr(report) == repr(verify_certificate(padded, constraint_history=history))
@@ -247,13 +247,13 @@ class TestSparseRows:
         res = run_general(oracle, [1.0, 2.0, 2.0], R=1.0, stop=CapOnly(), max_iters=0)
         state = res.state
         state.lam = 1.0
-        state.nu = np.zeros(len(state.atoms))
+        state.nu = np.zeros(len(state.atoms.rows))
         state.atom_part = np.zeros_like(state.gap_vec)
         state.gap_vec = -state.target_lifted()
         cert = build_general_certificate(state, R=1.0)
         assert cert.rows == []
         assert verify_certificate(cert).passed
-        assert verify_certificate(cert, constraint_history=state.atoms).passed
+        assert verify_certificate(cert, constraint_history=state.atoms.rows).passed
         back = certificate_from_text(certificate_to_text(cert))
         assert back.rows == [] and verify_certificate(back).passed
 
@@ -281,6 +281,24 @@ class TestSerialization:
         back = certificate_from_text(certificate_to_text(cert))
         assert np.allclose(back.nonneg_slack, cert.nonneg_slack)
         assert verify_certificate(back).passed
+
+    @pytest.mark.parametrize("first, second", [("x", "x"), ("", "row0")], ids=["two_x", "row0"])
+    def test_rows_sharing_a_written_name_are_refused(self, first, second):
+        # Unnamed rows are written as row{i}, so the second case clashes too.
+        rows = [(Constraint([1.0, 0.0], 1.0, name=first), 1.0),
+                (Constraint([0.0, 1.0], 1.0, name=second), 1.0)]
+        cert = DualCertificate(
+            setting="polar", objective=np.ones(2), rows=rows, ball_normal=np.array([1.0, 0.0]),
+            ball_rhs=1.0, ball_coefficient=0.0, claimed_bound=2.0, gamma=1.0, R=1.0,
+        )
+        assert verify_certificate(cert).passed
+        clash = f"two different certificate rows are named '{first or second}'"
+        with pytest.raises(ValueError, match=clash):
+            certificate_to_text(cert)
+        # One row listed twice is no clash.
+        twice = dataclasses.replace(cert, rows=[rows[0], rows[0]], objective=np.array([2.0, 0.0]))
+        back = certificate_from_text(certificate_to_text(twice))
+        assert verify_certificate(back).passed and len(back.rows) == 2
 
     @staticmethod
     def per_element_fmt_vec(v):

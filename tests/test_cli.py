@@ -277,8 +277,8 @@ def test_verify_checks_rows_with_tiny_multipliers(tmp_path, capsys):
     )
     assert forged.claimed_bound < 4
     assert verify_certificate(forged, c=np.ones(d), R=np.sqrt(d)).passed
-    assert not verify_certificate(forged, constraint_history=res.state.atoms).rows_in_history
-    assert verify_certificate(honest, constraint_history=res.state.atoms).rows_in_history
+    assert not verify_certificate(forged, constraint_history=res.state.atoms.rows).rows_in_history
+    assert verify_certificate(honest, constraint_history=res.state.atoms.rows).rows_in_history
 
     (tmp_path / "g.dimacs").write_text(to_dimacs(graph))
     (tmp_path / "run.cert").write_text(certificate_to_text(forged))
@@ -298,6 +298,16 @@ def _shorten_row_line(lines, name):
     return [line.rsplit(" ", 1)[0] if line.startswith(f"row {name} ") else line for line in lines]
 
 
+def _replace_line(start, new):
+    """Replace the line that begins with `start` and a space by `new`; {name} is the row's name."""
+
+    def corrupt(lines, name):
+        prefix = start.format(name=name) + " "
+        return [new.format(name=name) if line.startswith(prefix) else line for line in lines]
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -306,8 +316,16 @@ def _shorten_row_line(lines, name):
         (lambda lines, name: lines + ["slack 99 0.5"], "slack index 99 is outside the dimension {d}"),
         (lambda lines, name: [x for x in lines if not x.startswith("dimension ")],
          "certificate has no 'dimension' line"),
+        (_replace_line("row {name}", "row {name}"), "malformed line 'row {name}'"),
+        (_replace_line("multiplier {name}", "multiplier {name}"), "malformed line 'multiplier {name}'"),
+        (lambda lines, name: lines + ["slack 0"], "malformed line 'slack 0'"),
+        (_replace_line("R", "R one"), "the R line 'one' is not numeric"),
+        (_replace_line("gamma", "gamma one"), "the gamma line 'one' is not numeric"),
+        (_replace_line("dimension", "dimension 4.5"), "the dimension line '4.5' is not numeric"),
     ],
-    ids=["absent_row", "short_row", "slack_index", "no_dimension"],
+    ids=["absent_row", "short_row", "slack_index", "no_dimension", "row_without_values",
+         "multiplier_without_value", "slack_without_value", "nonnumeric_R", "nonnumeric_gamma",
+         "nonnumeric_dimension"],
 )
 def test_verify_names_the_fault_of_a_malformed_certificate(corrupt, message, tmp_path, capsys):
     graph = generate_triangle_instance(9, 3, 0)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from oracleopt import corrective
+from oracleopt.combinatorial import MatchingOracle, generate_triangle_instance, matching_initial_rows
 from oracleopt.corrective import (
+    AtomSet,
     StrategyKind,
     UpdateStrategy,
     fully_corrective,
@@ -16,7 +18,7 @@ from oracleopt.corrective import (
 from oracleopt.geometry import project_point_to_segment
 from oracleopt.oracle import Constraint, PolytopeOracle
 from oracleopt.solver_general import run_general
-from oracleopt.solver_polar import run_polar
+from oracleopt.solver_polar import PolarMode, run_polar
 from oracleopt.trace import GapStop
 
 
@@ -441,3 +443,42 @@ def test_corrective_counts_on_random_polytopes(variant):
         assert res.converged
         counts.append((res.iterations, res.state.oracle_calls))
     assert counts == _CORRECTIVE_COUNTS[variant]
+
+
+class TestAtomSet:
+    def test_names_dedup_and_vectors_are_stored_as_given(self):
+        rng = np.random.default_rng(0)
+        vectors = rng.standard_normal((5, 3))
+        atoms = AtomSet(Constraint(np.zeros(3), 1.0, name="zero"), vectors[0])
+        assert atoms.add(Constraint(vectors[1], 1.0, name="x"), vectors[1]) == 1
+        before = atoms.matrix.copy()
+        # A repeated name returns the first index, whatever its vector.
+        assert atoms.add(Constraint(vectors[2], 1.0, name="x"), vectors[2]) == 1
+        assert atoms.add(Constraint(vectors[3], 1.0, name="zero"), vectors[3]) == 0
+        assert atoms.matrix.tobytes() == before.tobytes()
+        # Unnamed rows always append, even when equal to a stored one.
+        assert atoms.add(Constraint(vectors[1], 1.0), vectors[1]) == 2
+        assert atoms.add(Constraint(vectors[1], 1.0), vectors[4]) == 3
+        assert [row.name for row in atoms.rows] == ["zero", "x", "", ""]
+        assert atoms.matrix.flags.c_contiguous
+        assert atoms.matrix.tobytes() == vectors[[0, 1, 1, 4]].tobytes()
+
+    def test_solver_matrices_hold_the_normalized_and_lifted_rows(self):
+        # Polar packing run: rows are polar-normalized (and clipped at zero).
+        graph = generate_triangle_instance(9, 3, 0)
+        res = run_polar(
+            MatchingOracle(graph, max_set_size=11), np.ones(graph.n_edges), gamma1=1.0,
+            stop=GapStop(0.05), max_iters=500, strategy=fully_corrective(1),
+            mode=PolarMode.PACKING, initial_constraints=matching_initial_rows(graph, "basic"),
+        )
+        rows = res.state.atoms.rows
+        assert res.state.cuts
+        assert res.state.atoms.matrix.tobytes() == np.array([row.a for row in rows]).tobytes()
+
+        # General run: the matrix holds (a, b / R) of each caller-unit row.
+        oracle, c = _random_polytope(30, 0)
+        res = run_general(oracle, c, stop=GapStop(0.01), max_iters=2000, strategy=fully_corrective(1))
+        R, rows = res.state.R, res.state.atoms.rows
+        lifted = np.array([np.append(row.a, row.b / R) for row in rows])
+        assert res.state.cuts
+        assert res.state.atoms.matrix.tobytes() == lifted.tobytes()

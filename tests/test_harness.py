@@ -161,7 +161,7 @@ class TestRunExperiment:
         )
         assert res.iterations == summary_row.iterations
         assert any(cut.name.startswith("nonneg:") for cut in res.state.cuts)
-        history = res.state.atoms
+        history = res.state.atoms.rows
         assert verify_certificate(res.certificate, constraint_history=history).passed
         assert res.certificate.claimed_bound == res.bound
         (tmp_path / "g.dimacs").write_text(to_dimacs(instance.oracle.graph))

@@ -13,6 +13,7 @@ from oracleopt.certificates import verify_certificate
 from oracleopt.corrective import (
     fully_corrective,
     partially_corrective,
+    segment_only,
     segment_plus_nonneg,
 )
 from oracleopt.oracle import BallOracle, Constraint, PolytopeOracle
@@ -45,7 +46,7 @@ class TestGeneralStep:
         state.lam = 0.5
         state.nu = np.array([0.5])
         state.atom_part = state.gap_vec + state.lam * state.target_lifted()
-        kind = general_step(state, oracle)
+        kind = general_step(state, oracle, segment_only())
         assert kind.value == "shrink_ball"
         assert state.rnorm_gap < math.sqrt(2.0)
 
@@ -62,7 +63,7 @@ class TestGeneralStep:
         state.lam = 0.4
         state.nu = np.array([0.6])
         state.atom_part = state.gap_vec + state.lam * state.target_lifted()
-        kind = general_step(state, oracle)
+        kind = general_step(state, oracle, segment_only())
         assert kind.value == "shrink_target"
 
 
@@ -187,7 +188,7 @@ class TestRunGeneral:
             oracle, [1.0, 0.0], R=1.0, stop=CapOnly(), max_iters=3,
             initial_constraints=[weak],
         )
-        ingested = res.state.atoms[1]
+        ingested = res.state.atoms.rows[1]
         assert ingested.b == pytest.approx(1.0)
         assert np.linalg.norm(ingested.a) == pytest.approx(1.0)
 

@@ -5,6 +5,7 @@ import pytest
 
 from oracleopt.certificates import verify_certificate
 from oracleopt.corrective import (
+    AtomSet,
     fully_corrective,
     partially_corrective,
     segment_only,
@@ -34,13 +35,14 @@ def make_state(gamma, c, q, mode=PolarMode.STANDARD):
     c = np.asarray(c, dtype=float)
     q = np.asarray(q, dtype=float)
     dim = c.shape[0]
+    zero = Constraint(np.zeros(dim), 1.0, ConstraintForm.POLAR, "zero")
     return PolarState(
         t=0,
         gamma=gamma,
         c=c,
         target=c / gamma,
         aggregate=q,
-        atoms=[Constraint(np.zeros(dim), 1.0, ConstraintForm.POLAR, "zero")],
+        atoms=AtomSet(zero, zero.a),
         weights=np.array([1.0]),
         mode=mode,
         shadow=np.zeros(dim) if mode is PolarMode.PACKING else None,
@@ -100,15 +102,15 @@ class TestPolarStep:
     def test_hand_simulated_ball_run(self):
         oracle = BallOracle(np.zeros(2), 1.0)
         state = make_state(0.5, [1.0, 0.0], [0.0, 0.0])
-        kind = polar_step(state, oracle)
+        kind = polar_step(state, oracle, segment_only())
         assert kind.value == "primal"
         assert state.gamma == pytest.approx(1.0)
         assert np.allclose(state.aggregate, [0.0, 0.0])
 
-        kind = polar_step(state, oracle)
+        kind = polar_step(state, oracle, segment_only())
         assert kind.value == "cut"
-        assert np.allclose(state.atoms[-1].a, [1.0, 0.0])
-        assert state.atoms[-1].b == 1.0
+        assert np.allclose(state.atoms.rows[-1].a, [1.0, 0.0])
+        assert state.atoms.rows[-1].b == 1.0
         # projection of the target onto [cut row, old aggregate] lands on the row
         assert np.allclose(state.aggregate, [1.0, 0.0])
         assert state.residual == pytest.approx(0.0, abs=1e-12)
@@ -116,7 +118,7 @@ class TestPolarStep:
     def test_shrink_branch_keeps_gamma(self):
         oracle = BallOracle(np.zeros(2), 1.0)
         state = make_state(1.0, [1.0, 0.0], [2.0, 0.0])
-        kind = polar_step(state, oracle)
+        kind = polar_step(state, oracle, segment_only())
         assert kind.value == "shrink"
         assert state.gamma == 1.0
         assert np.linalg.norm(state.aggregate) < 2.0
