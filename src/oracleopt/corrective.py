@@ -73,23 +73,31 @@ class AtomSet:
     """The rows a solver combines; matrix[i] is the vector it combines for rows[i].
 
     A row whose name is already stored maps to the stored one; unnamed rows
-    are never merged.  The matrix is C-contiguous and grows by one row per
-    new row, so corrective steps and certificates read it as is.
+    are never merged.  The matrix is C-contiguous, built in one step from the
+    rows given at construction and grown by one row per new row after that,
+    so corrective steps and certificates read it as is.
     """
 
-    def __init__(self, row: Constraint, vector: np.ndarray):
+    def __init__(self, row: Constraint, vector: np.ndarray, rows=(), vectors=()):
+        """The set of `row`, then of each of `rows` in turn, as `add` would build it."""
         self.rows: list[Constraint] = []
-        self.matrix = np.zeros((0, len(vector)))
         self._index: dict[str, int] = {}
-        self.add(row, vector)
+        kept = [v for r, v in zip((row, *rows), (vector, *vectors)) if self._keep(r)]
+        self.matrix = np.array(kept, dtype=float)
 
-    def add(self, row: Constraint, vector: np.ndarray) -> int:
-        """Index of the row named like `row`, appending `row` and `vector` if new."""
+    def _keep(self, row: Constraint) -> bool:
+        """Store row unless its name is stored already."""
         if row.name in self._index:
-            return self._index[row.name]
+            return False
         if row.name:
             self._index[row.name] = len(self.rows)
         self.rows.append(row)
+        return True
+
+    def add(self, row: Constraint, vector: np.ndarray) -> int:
+        """Index of the row named like `row`, appending `row` and `vector` if new."""
+        if not self._keep(row):
+            return self._index[row.name]
         self.matrix = np.concatenate((self.matrix, vector[None]))
         return len(self.rows) - 1
 
@@ -130,7 +138,12 @@ def min_norm_point(target, atoms, recession_nonneg: bool = False, start=None) ->
         raise ValueError(f"need at least one atom, as a row of length {target.shape[0]}")
     if not np.all(np.isfinite(matrix)):
         raise ValueError("atom entries must be finite")
-    shifted = matrix - target  # minimize ||shifted^T w + D t||
+    # Minimize ||shifted^T w + D t||, scaled by 2^-e so that max|shifted| lies
+    # in [1/2, 1): exact in floating point, and it makes the tolerances below
+    # relative to the atoms' spread.
+    shifted = matrix - target
+    e = np.frexp(np.max(np.abs(shifted)))[1]
+    shifted = np.ldexp(shifted, -e)
 
     # Active sets: atom indices and, in the recession case, ray coordinates
     # (rays are the negated unit vectors).
@@ -228,8 +241,8 @@ def min_norm_point(target, atoms, recession_nonneg: bool = False, start=None) ->
     slack = None
     if recession_nonneg:
         slack = np.zeros(n)
-        slack[active_rays] = tvals
-    point = target + y
+        slack[active_rays] = np.ldexp(tvals, e)
+    point = target + np.ldexp(y, e)
     return MinNormResult(point=point, weights=weights, slack=slack, converged=converged)
 
 
@@ -254,10 +267,10 @@ def _affine_minimizer(shifted, active_atoms, active_rays, recession_nonneg):
         M = gram + gram.diagonal().max()
         try:
             np.linalg.cholesky(M)
+            v = np.linalg.solve(M, np.ones(k))  # rounding can pass a singular M
         except np.linalg.LinAlgError:
             pass
         else:
-            v = np.linalg.solve(M, np.ones(k))
             w = v / v.sum()
             if np.all(np.isfinite(w)):
                 return w, np.zeros(0)

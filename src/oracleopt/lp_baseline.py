@@ -8,15 +8,22 @@ algorithm's floating-point operations in the same order, and the tests hold
 it bit for bit to a plain-Python copy.  It powers the cut loop, the shared
 1%-of-optimum stop rule `LPStop` and the clique-relaxation reference optimum.
 
+The cut loop resumes each LP from the previous one and still gets the cold
+solve's tableau, basis and x.  From the slack basis, the cold solve of an
+LP plus one row repeats the LP's pivots up to the first ratio test that the
+new row changes.  So each solve keeps its pivots (`_Path`), with the entries
+they overwrote; the next LP replays only its new row along them, writes the
+old entries back down to that pivot and goes on from there.
+
 The stopping bound needs only the optimal value and gains a few rows per
 iteration, so `LPStop` warm-starts it: the new rows join the previous
 bound's final tableau and a dual simplex reoptimizes, which may move the
-value's last bits.  The cut loop and the reference optimum keep the exact
-solve.
+value's last bits.  The reference optimum keeps the cold solve.
 """
 
 from __future__ import annotations
 
+import bisect
 import operator
 from dataclasses import dataclass, field
 
@@ -68,6 +75,8 @@ class LPResult:
     # Final tableau (constraint rows, then the cost row; rhs last), basis and
     # the columns allowed to enter: where a warm start resumes.
     final: tuple | None = field(default=None, repr=False)
+    # Phase 2's pivots from the slack basis; None after a phase-1 start.
+    path: _Path | None = field(default=None, repr=False)
 
 
 def solve_lp(lp: LinearProgram) -> LPResult:
@@ -83,7 +92,8 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     le_b = np.concatenate([[r.b for r in lp.rows], lp.ub[bounded]])
     eq_b = np.array([r.b for r in lp.equalities], dtype=float)
     c, le, eq = (_expand(a, free) for a in (lp.objective, le, _stack(lp.equalities, n)))
-    return _result(lp, _simplex(c, le, le_b, eq, eq_b))
+    path = None if len(eq) or np.any(le_b < 0) else _Path(len(c), len(bounded))
+    return _result(lp, _simplex(c, le, le_b, eq, eq_b, path), path)
 
 
 def _stack(rows, n: int) -> np.ndarray:
@@ -99,7 +109,7 @@ def _expand(a: np.ndarray, free: np.ndarray) -> np.ndarray:
     return out
 
 
-def _result(lp: LinearProgram, final: tuple) -> LPResult:
+def _result(lp: LinearProgram, final: tuple, path=None) -> LPResult:
     n = lp.objective.shape[0]
     free = np.flatnonzero(np.isneginf(lp.lb))
     tableau, basis, _ = final
@@ -107,10 +117,10 @@ def _result(lp: LinearProgram, final: tuple) -> LPResult:
     x_full[basis] = tableau[:-1, -1]
     x = x_full[:n].copy()
     x[free] -= x_full[n : n + len(free)]
-    return LPResult(x, float(lp.objective @ x), final)
+    return LPResult(x, float(lp.objective @ x), final, path)
 
 
-def _simplex(c, le, le_b, eq, eq_b) -> tuple:
+def _simplex(c, le, le_b, eq, eq_b, path=None) -> tuple:
     n_le, ncols = le.shape
     m = n_le + len(eq)
     total = ncols + n_le  # structural + slack columns; artificials appended below
@@ -161,56 +171,198 @@ def _simplex(c, le, le_b, eq, eq_b) -> tuple:
     tableau[-1, : len(c)] = -c
     for i in np.flatnonzero(np.abs(tableau[-1, basis]) > 0):
         tableau[-1, :] -= tableau[-1, basis[i]] * tableau[i, :]
-    _iterate(tableau, basis, allowed)
+    _iterate(tableau, basis, allowed, path)
     return tableau, basis, allowed
 
 
-def _iterate(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -> None:
+def _iterate(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray, path=None) -> None:
+    """Primal simplex pivots under Bland's rule until optimal; `path`, if
+    given, records each one."""
+    rhs, costs = tableau[:-1, -1], tableau[-1, :-1]
     while True:
-        improving = allowed & (tableau[-1, :-1] < -_COST_TOL)
+        improving = costs < -_COST_TOL
+        improving &= allowed
         enter = improving.argmax()  # Bland: smallest improving index
         if not improving[enter]:
             return
-        _pivot(tableau, _leaving_row(tableau, enter, basis), enter, basis)
+        # Ratio test over the rows that can block (positive coefficient), as
+        # Python floats: the same IEEE doubles, without numpy's overhead.
+        column = tableau[:-1, enter]
+        rows = (column > _PIVOT_TOL).nonzero()[0]
+        ratios = rhs[rows] / column[rows]
+        candidates = list(zip(rows.tolist(), ratios.tolist(), basis[rows].tolist()))
+        row = _scan(candidates)[0]
+        if row is None:
+            raise UnboundedLPError("no blocking row for entering column")
+        undo = _pivot(tableau, row, enter, basis)
+        if path is not None:
+            path.append((int(enter), row, candidates, undo))  # `_Path.settle` reads it
 
 
-def _leaving_row(tableau: np.ndarray, enter: int, basis: np.ndarray) -> int:
+def _scan(candidates, leave=None, basic_leave=-1, best=np.inf) -> tuple:
     """Ratio test: the smallest ratio, near-ties to the lowest basic index.
 
-    Near-ties chain, so the winner depends on the running best and the scan
-    stays sequential.  It visits only the rows that can block (positive
-    coefficient), as Python floats: the same IEEE doubles, without numpy's
-    per-element overhead.
+    Folds (row, ratio, basic) candidates in row order into the running
+    (row, basic, ratio) and returns it.  Near-ties chain, so the winner
+    depends on the running best and the scan stays sequential.
     """
-    column = tableau[:-1, enter]
-    rows = (column > _PIVOT_TOL).nonzero()[0]
-    ratios = tableau[rows, -1] / column[rows]
-    leave, leave_basic, best_ratio = -1, -1, np.inf
-    for i, ratio, basic in zip(rows.tolist(), ratios.tolist(), basis[rows].tolist()):
-        if ratio < best_ratio - _PIVOT_TOL or (
-            abs(ratio - best_ratio) <= _PIVOT_TOL and (leave < 0 or basic < leave_basic)
+    for i, ratio, basic in candidates:
+        if ratio < best - _PIVOT_TOL or (
+            abs(ratio - best) <= _PIVOT_TOL and (leave is None or basic < basic_leave)
         ):
-            leave, leave_basic, best_ratio = i, basic, ratio
-    if leave < 0:
-        raise UnboundedLPError("no blocking row for entering column")
-    return leave
+            leave, basic_leave, best = i, basic, ratio
+    return leave, basic_leave, best
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int, basis: np.ndarray) -> None:
-    tableau[row, :] /= tableau[row, col]
-    pivot_row = tableau[row]
-    coeffs = tableau[:, col].copy()
-    coeffs[row] = 0.0
+def _pivot(tableau: np.ndarray, row: int, col: int, basis: np.ndarray) -> tuple:
+    """Pivot in place.  Returns, for `_Path`, the columns of the pivot row's
+    nonzeros and the rhs, its old entries there and its old basic column,
+    the other changed rows, their old entries at those columns and the
+    divided pivot-row entries."""
     # Only rows with a nonzero coefficient change, and only columns with a
     # nonzero pivot-row entry plus the rhs: elsewhere the update subtracts a
     # zero, which at most flips the sign of a zero entry, and only the rhs
-    # column's zeros ever reach x.
-    rows = (np.abs(coeffs) > 0).nonzero()[0]
+    # column's zeros ever reach x.  The pivot row's zeros stay as they are.
+    pivot_row = tableau[row]
     cols = pivot_row != 0
     cols[-1] = True
     cols = cols.nonzero()[0]
-    tableau[rows[:, None], cols] -= coeffs[rows, None] * pivot_row[cols]
+    old_entries, old_basic = pivot_row[cols], basis[row]
+    pivot_entries = old_entries / pivot_row[col]
+    pivot_row[cols] = pivot_entries
+    coeffs = tableau[:, col]
+    rows = coeffs.nonzero()[0]
+    rows = rows[rows != row]
+    block = tableau[rows[:, None], cols]
+    tableau[rows[:, None], cols] = block - coeffs[rows, None] * pivot_entries
     basis[row] = col
+    return cols, old_entries, old_basic, rows, block, pivot_entries
+
+
+# Sorts a bound row's slack column after every other column in basic-index
+# comparisons across layouts.
+_TAIL = 1 << 40
+
+
+@dataclass(slots=True)
+class _Step:
+    """One pivot of a `_Path`.  Bound rows and the cost row are numbered
+    from the end of the tableau (-1 is the cost row), bound-row slack
+    columns and the rhs from its right edge (-1 is the rhs), so that the
+    indices hold after rows are inserted before the bound rows."""
+
+    enter: int
+    row: int
+    cols: np.ndarray  # the pivot row's nonzero columns, and the rhs
+    pivot_row: np.ndarray  # its entries there
+    old_entries: np.ndarray  # and before the division
+    old_basic: int
+    rows: np.ndarray  # the other rows the pivot changed
+    block: np.ndarray  # their entries at cols before it
+    scan: tuple  # the ratio test after the constraint rows: (row, basic key, ratio)
+    tail: list  # the bound rows' candidates: (row, ratio, basic key)
+    n_rows: int  # constraint rows when recorded
+
+
+class _Path(list):
+    """A phase-2 solve's pivots from the slack basis.  `_iterate` appends a
+    raw record per pivot, and `settle` makes `_Step`s of them only when a
+    resume needs them."""
+
+    def __init__(self, ncols: int, n_bound: int):
+        super().__init__()
+        self.ncols, self.n_bound = ncols, n_bound  # structural columns, bound rows
+        self.settled = 0  # pivots held as `_Step`s
+
+    def settle(self, tableau: np.ndarray) -> None:
+        """Turn the raw records of the solve that left `tableau` into steps."""
+        height, width = tableau.shape
+        n_rows = height - 1 - self.n_bound
+        split = self.ncols + n_rows  # first bound-row slack column
+
+        def col(j, tail=0):
+            return j if j < split else j - width + tail
+
+        for k in range(self.settled, len(self)):
+            enter, row, candidates, (cols, old_entries, old_basic, rows, block, entries) = self[k]
+            head = bisect.bisect_left(candidates, (n_rows,))
+            leave, basic, ratio = _scan(candidates[:head])
+            self[k] = _Step(
+                col(enter), row if row < n_rows else row - height,
+                np.where(cols < split, cols, cols - width), entries, old_entries,
+                col(int(old_basic)), np.where(rows < n_rows, rows, rows - height), block,
+                (leave, col(basic, _TAIL), ratio),
+                [(i - height, r, col(b, _TAIL)) for i, r, b in candidates[head:]], n_rows,
+            )
+        self.settled = len(self)
+
+    def replay(self, v: np.ndarray, stop: int) -> np.ndarray:
+        """Row v of the initial tableau as it stands before pivot `stop`."""
+        for step in self[:stop]:
+            coef = v[step.enter]
+            if abs(coef) > 0:
+                v[step.cols] -= coef * step.pivot_row
+        return v
+
+    def branch(self, v: np.ndarray, row: int, basic: int) -> int:
+        """Replay a new constraint row v (index `row`, basic column `basic`)
+        up to the first pivot whose ratio test it changes, and return that
+        pivot's index.  The pivots before it take the row into their scan."""
+        for s, step in enumerate(self):
+            coef = v[step.enter]
+            if coef > _PIVOT_TOL:
+                scan = _scan([(row, float(v[-1]) / float(coef), basic)], *step.scan)
+                if scan[0] == row:
+                    if _scan(step.tail, *scan)[0] != step.row:
+                        return s
+                    step.scan = scan
+            if abs(coef) > 0:
+                v[step.cols] -= coef * step.pivot_row
+        return len(self)
+
+    def undo(self, tableau: np.ndarray, basis: np.ndarray, stop: int) -> None:
+        """Write back what the pivots from `stop` on overwrote, last first."""
+        for step in reversed(self[stop:]):
+            tableau[step.rows[:, None], step.cols] = step.block
+            tableau[step.row, step.cols] = step.old_entries
+            basis[step.row % tableau.shape[0]] = step.old_basic % tableau.shape[1]
+
+
+def _resume(lp: LinearProgram, prev: LPResult | None) -> LPResult:
+    """`solve_lp(lp)` for lp = prev's LP plus one last row, resumed along
+    prev's pivot path, which it takes over.  Without a path (a phase-1
+    start, or no pivots) or with a negative rhs in the new row, a cold solve."""
+    path = None if prev is None else prev.path
+    if not path or lp.rows[-1].b < 0:
+        return solve_lp(lp)
+    new = len(lp.rows) - 1  # the new row goes after the constraint rows
+    split = path.ncols + new  # and its slack after theirs
+    tableau, basis, _ = prev.final
+    path.settle(tableau)
+    tableau = np.insert(np.insert(tableau, new, 0.0, axis=0), split, 0.0, axis=1)
+    basis = np.insert(basis + (basis >= split), new, split)
+    free = np.flatnonzero(np.isneginf(lp.lb))
+
+    def initial(i: int) -> np.ndarray:
+        v = np.zeros(tableau.shape[1])
+        v[: path.ncols] = _expand(as_vector(lp.rows[i].a), free)
+        v[path.ncols + i] = 1.0
+        v[-1] = lp.rows[i].b
+        return v
+
+    row = initial(new)
+    stop = path.branch(row, new, split)
+    if stop < len(path):
+        path.undo(tableau, basis, stop)
+        # Rows added after pivot `stop` was recorded are not in its record.
+        for i in range(path[stop].n_rows, new):
+            tableau[i] = path.replay(initial(i), stop)
+        del path[stop:]
+        path.settled = stop
+    tableau[new] = row
+    allowed = np.ones(tableau.shape[1] - 1, dtype=bool)
+    _iterate(tableau, basis, allowed, path)
+    return _result(lp, (tableau, basis, allowed), path)
 
 
 def _dual_iterate(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -> None:
@@ -354,11 +506,12 @@ def cut_loop(
     converged = False
     x = np.zeros_like(c)
     value = np.nan
+    res = None
 
     for _ in range(max_iters + 1):
         lp = LinearProgram(objective=c, rows=rows + cuts, lb=lb, ub=ub)
         try:
-            res = solve_lp(lp)
+            res = _resume(lp, res) if cuts else solve_lp(lp)
         except UnboundedLPError as exc:
             raise UnboundedLPError("add bounds to initial constraints") from exc
         x, value = res.x, res.value

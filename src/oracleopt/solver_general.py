@@ -87,13 +87,18 @@ def general_dual_bound(state: GeneralState) -> Optional[float]:
     return state.gamma_out + (2.0 * state.R / state.lam) * state.cnorm * state.rnorm_gap
 
 
-def _ingest_cut(state: GeneralState, cons: Constraint) -> int:
+def _unit_row(cons: Constraint, R: float) -> Constraint:
     if cons.form is not ConstraintForm.UNIT:
         cons = normalize_unit(cons.a, cons.b, name=cons.name)
-    if cons.b > state.R:
+    if cons.b > R:
         # A row weaker than the enclosing ball carries no extra information;
         # tightening keeps it valid and preserves the violation.
-        cons = Constraint(cons.a, state.R, ConstraintForm.UNIT, cons.name)
+        cons = Constraint(cons.a, R, ConstraintForm.UNIT, cons.name)
+    return cons
+
+
+def _ingest_cut(state: GeneralState, cons: Constraint) -> int:
+    cons = _unit_row(cons, state.R)
     index = state.atoms.add(cons, np.append(cons.a, cons.b / state.R))
     if index == len(state.nu):
         state.nu = np.append(state.nu, 0.0)
@@ -219,8 +224,7 @@ def run_general(
     cnorm = float(np.linalg.norm(c))
     if cnorm == 0:
         raise ValueError("objective must be nonzero")
-    if R is None:
-        R = oracle.radius_outer
+    R = float(oracle.radius_outer if R is None else R)
     strategy = strategy or corr.segment_only()
     kinds = (corr.StrategyKind.SEGMENT_ONLY, corr.StrategyKind.FULLY_CORRECTIVE)
     if strategy.kind not in kinds:
@@ -228,22 +232,23 @@ def run_general(
     stop = stop or CapOnly()
 
     dim = c.shape[0]
-    ball_row = Constraint(np.zeros(dim), float(R), ConstraintForm.RAW, "ball0")
+    ball_row = Constraint(np.zeros(dim), R, ConstraintForm.RAW, "ball0")
+    rows = [_unit_row(cons, R) for cons in initial_constraints]
+    atoms = corr.AtomSet(
+        ball_row, np.append(np.zeros(dim), 1.0), rows, [np.append(r.a, r.b / R) for r in rows]
+    )
     state = GeneralState(
         t=0,
         gamma=-1.0,
         lam=0.0,
         gap_vec=np.append(np.zeros(dim), 1.0),
         atom_part=np.append(np.zeros(dim), 1.0),
-        atoms=corr.AtomSet(ball_row, np.append(np.zeros(dim), 1.0)),
-        nu=np.array([1.0]),
+        atoms=atoms,
+        nu=np.eye(1, len(atoms.rows))[0],  # all weight on the ball row
         cnorm=cnorm,
-        R=float(R),
+        R=R,
         c_unit=c / cnorm,
     )
-    for cons in initial_constraints:
-        _ingest_cut(state, cons)
-    state.cuts.clear()  # initial rows are not separated cuts
 
     trivial_bound = cnorm * R  # max of <c, x> over the enclosing ball
 

@@ -121,13 +121,18 @@ def dual_bound(state: PolarState, R: float) -> float:
     return state.gamma * (1.0 + state.residual * R)
 
 
-def _ingest_cut(state: PolarState, cons: Constraint) -> int:
+def _polar_row(cons: Constraint, mode: PolarMode) -> Constraint:
     if cons.form is not ConstraintForm.POLAR:
         cons = normalize_polar(cons.a, cons.b, name=cons.name)
-    if state.mode is PolarMode.PACKING and np.any(cons.a < 0):
+    if mode is PolarMode.PACKING and np.any(cons.a < 0):
         # Down-closed bodies admit the positive part of any valid row, and
         # clipping keeps the constraint norms bounded by 1/r.
         cons = Constraint(np.maximum(cons.a, 0.0), 1.0, ConstraintForm.POLAR, cons.name)
+    return cons
+
+
+def _ingest_cut(state: PolarState, cons: Constraint) -> int:
+    cons = _polar_row(cons, state.mode)
     index = state.atoms.add(cons, cons.a)
     if index == len(state.weights):
         state.weights = np.append(state.weights, 0.0)
@@ -266,22 +271,21 @@ def run_polar(
 
     dim = c.shape[0]
     zero_row = Constraint(np.zeros(dim), 1.0, ConstraintForm.POLAR, "zero")
+    rows = [_polar_row(cons, mode) for cons in initial_constraints]
+    atoms = corr.AtomSet(zero_row, zero_row.a, rows, [row.a for row in rows])
     state = PolarState(
         t=0,
         gamma=float(gamma1),
         c=c,
         target=c / gamma1,
         aggregate=np.zeros(dim),
-        atoms=corr.AtomSet(zero_row, zero_row.a),
-        weights=np.array([1.0]),
+        atoms=atoms,
+        weights=np.eye(1, len(atoms.rows))[0],  # all weight on the zero row
         mode=mode,
         shadow=np.zeros(dim) if mode is PolarMode.PACKING else None,
         oracle_calls=init_calls,
         incumbent=incumbent0,
     )
-    for cons in initial_constraints:
-        _ingest_cut(state, cons)
-    state.cuts.clear()  # initial rows are not separated cuts
 
     trace, converged = drive(
         lambda: polar_step(state, oracle, strategy).value,

@@ -281,6 +281,33 @@ class TestAffineSolveParity:
             assert got.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert cholesky_failures, "no corral needed the least squares fallback"
 
+    def test_singular_matrix_that_passes_cholesky_falls_back(self):
+        # The two copies of atom 0 make M singular, yet rounding lets its
+        # Cholesky factor through; the solve then fails and must fall back.
+        target, atoms, start = [-1.1, -0.4], [[-0.4, 0.2], [0.2, 2.1], [-0.4, 0.2]], [1, 1, 1]
+        got = min_norm_point(target, atoms, start=start)
+        ref = reference_min_norm_point(target, atoms, start=start)
+        assert got.converged
+        assert np.linalg.norm(got.point - ref.point) <= 1e-12
+        assert got.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_plain_and_packing_calls_commute_with_scaling(self, scale):
+        # Small atoms used to stop at once (an absolute tolerance floor) and
+        # large packing calls to hit the cycle safeguard.
+        rng = np.random.default_rng(83)
+        for _ in range(40):
+            m, n = int(rng.integers(2, 20)), int(rng.integers(3, 8))
+            atoms = rng.normal(size=(m, n))
+            target = rng.normal(size=n)
+            for packing in (False, True):
+                unit = min_norm_point(target, atoms, recession_nonneg=packing)
+                got = min_norm_point(scale * target, scale * atoms, recession_nonneg=packing)
+                assert got.converged
+                assert np.linalg.norm(got.point / scale - unit.point) <= 1e-9
+                hull_point = got.weights @ (scale * atoms) - (got.slack if packing else 0.0)
+                assert np.linalg.norm(hull_point - got.point) <= 1e-9 * scale
+
     def test_atom_at_the_target_falls_back(self, cholesky_failures):
         # The cold start's one atom is the target: G = 0 has no factor.
         res = min_norm_point([1.0, 2.0], [[1.0, 2.0], [3.0, 0.0]])
@@ -462,6 +489,20 @@ class TestAtomSet:
         assert [row.name for row in atoms.rows] == ["zero", "x", "", ""]
         assert atoms.matrix.flags.c_contiguous
         assert atoms.matrix.tobytes() == vectors[[0, 1, 1, 4]].tobytes()
+
+    def test_rows_given_at_construction_are_added_in_turn(self):
+        rng = np.random.default_rng(1)
+        vectors = rng.standard_normal((6, 3))
+        names = ["zero", "x", "", "x", "zero", "y"]
+        rows = [Constraint(v, 1.0, name=name) for v, name in zip(vectors, names)]
+        one_by_one = AtomSet(rows[0], vectors[0])
+        for row, vector in zip(rows[1:], vectors[1:]):
+            one_by_one.add(row, vector)
+        at_once = AtomSet(rows[0], vectors[0], rows[1:], vectors[1:])
+        assert at_once.rows == one_by_one.rows
+        assert at_once.matrix.tobytes() == one_by_one.matrix.tobytes()
+        assert at_once.matrix.flags.c_contiguous
+        assert at_once.add(rows[3], vectors[3]) == 1
 
     def test_solver_matrices_hold_the_normalized_and_lifted_rows(self):
         # Polar packing run: rows are polar-normalized (and clipped at zero).

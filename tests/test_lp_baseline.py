@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracleopt import lp_baseline
+from oracleopt import harness, lp_baseline
 from oracleopt.combinatorial import (
     MatchingOracle,
     brute_force_matching_opt,
@@ -394,7 +394,7 @@ class TestSolveLP:
 
         def recording_pivot(tableau, row, col, basis):
             pivots.append((row, col))
-            real_pivot(tableau, row, col, basis)
+            return real_pivot(tableau, row, col, basis)
 
         monkeypatch.setattr(lp_baseline, "_pivot", recording_pivot)
         assert outcome(vectorized_solve_lp, lp) == outcome(reference_solve_lp, lp)
@@ -670,3 +670,144 @@ class TestWarmStartedLPStopBound:
         shared = stop()
         for strategy in (segment_only(), fully_corrective(1), segment_only()):
             assert run(shared, strategy) == run(stop(), strategy)
+
+
+
+def path_steps(path):
+    """What a pivot path decides, step by step: the pivot and the ratio test."""
+    return [
+        (s.enter, s.row, s.cols.tolist(), s.pivot_row.tolist(), s.scan, s.tail) for s in path
+    ]
+
+
+def assert_same_solve(got: lp_baseline.LPResult, cold: lp_baseline.LPResult) -> None:
+    """Equal tableau, basis, x and value (signs of zeros in the tableau aside),
+    and the same pivot path for the next LP to resume from."""
+    (tableau, basis, allowed), (cold_tableau, cold_basis, cold_allowed) = got.final, cold.final
+    assert np.array_equal(tableau, cold_tableau)
+    assert tableau[:, -1].tobytes() == cold_tableau[:, -1].tobytes()
+    assert basis.tolist() == cold_basis.tolist()
+    assert np.array_equal(allowed, cold_allowed)
+    assert got.x.tobytes() == cold.x.tobytes()
+    assert got.value == cold.value
+    assert (got.path is None) == (cold.path is None)
+    if cold.path is not None:
+        got.path.settle(tableau)
+        cold.path.settle(cold_tableau)
+        assert path_steps(got.path) == path_steps(cold.path)
+
+
+@pytest.fixture
+def resumes(monkeypatch):
+    """Checks every LP that `_resume` solves against a cold solve of that LP.
+
+    Counts the `_resume` calls, the cold solves they fall back to, and the
+    pivots made inside them and outside (the cold solves)."""
+    counts = dict(calls=0, fallbacks=0, resumed_pivots=0, cold_pivots=0)
+    side = ["cold_pivots"]
+    real_pivot, real_solve = lp_baseline._pivot, lp_baseline.solve_lp
+    real_resume = lp_baseline._resume
+
+    def pivot(*args):
+        counts[side[0]] += 1
+        return real_pivot(*args)
+
+    def solve(lp):
+        counts["fallbacks"] += side[0] == "resumed_pivots"
+        return real_solve(lp)
+
+    def resume(lp, prev):
+        side[0] = "resumed_pivots"
+        try:
+            got = real_resume(lp, prev)
+        finally:
+            side[0] = "cold_pivots"
+        counts["calls"] += 1
+        assert_same_solve(got, real_solve(lp))
+        return got
+
+    monkeypatch.setattr(lp_baseline, "_pivot", pivot)
+    monkeypatch.setattr(lp_baseline, "solve_lp", solve)
+    monkeypatch.setattr(lp_baseline, "_resume", resume)
+    return counts
+
+
+def instance_cut_loop(problem, max_iters=1000, **fields):
+    config = harness.load_config(None, dict(problem=problem, out="", **fields))
+    instance = harness.build_instance(config, need_opt=True)
+    stop = LPStop(instance.opt_ref, instance.initial_rows, instance.lb, instance.ub)
+    return cut_loop(
+        instance.oracle, instance.c, instance.initial_rows, lb=instance.lb, ub=instance.ub,
+        stop=stop, max_iters=max_iters,
+    )
+
+
+class TestResumedCutLoop:
+    @pytest.mark.parametrize(
+        "problem, fields",
+        [
+            # The matching-sweep graphs whose cut loop separates.
+            ("matching", dict(nodes=15, triangles=t, seed=s, max_set_size=15))
+            for t, s in ((10, 0), (10, 1), (11, 1), (15, 0), (16, 0), (17, 0))
+        ]
+        + [
+            ("stableset", dict(nodes=22, density=0.55, seed=s, initial_constraints="basic"))
+            for s in (0, 1, 2)
+        ]
+        # Free variables: every structural column has a mirror column.
+        + [("synthetic-ball", dict(dim=d, radius=1.0, center_offset=0.3)) for d in (3, 4)],
+        ids=lambda v: "-".join(map(str, v.values())) if isinstance(v, dict) else v,
+    )
+    def test_every_lp_equals_a_cold_solve(self, resumes, problem, fields):
+        res = instance_cut_loop(problem, **fields)
+        assert res.converged and res.cuts
+        assert resumes["calls"] == len(res.cuts)  # every LP after the first
+        assert resumes["fallbacks"] == 0
+        # The resume skips most of the pivots that the cold solves make.
+        assert resumes["resumed_pivots"] < 0.5 * resumes["cold_pivots"]
+
+    def test_cut_that_joins_a_near_tie_chain_without_a_pivot(self, resumes):
+        # max x0 with x0 <= 1 + 2.5e-9 (row 0) and the bound x0 <= 1: the
+        # scan takes row 0, then the bound (1 < 1 + 1.5e-9).
+        bounds = dict(lb=np.zeros(1), ub=np.ones(1))
+        rows = [Constraint(np.array([1.0]), 1.0 + 2.5e-9)]
+        first = solve_lp(LinearProgram(np.ones(1), rows, **bounds))
+        # The cut x0 <= 1 + 1.2e-9 takes the lead from row 0, and the bound
+        # still wins: the cut joins the first pivot's scan and stays basic.
+        rows.append(Constraint(np.array([1.0]), 1.0 + 1.2e-9))
+        second = lp_baseline._resume(LinearProgram(np.ones(1), rows, **bounds), first)
+        assert resumes["resumed_pivots"] == 0
+        assert second.x.tolist() == [1.0]
+        assert second.path[0].scan[0] == 1  # the cut leads after the constraint rows
+        # x0 <= 1 + 1e-10 takes the lead from the cut and near-ties the
+        # bound, which it beats on its lower basic index: the resume goes
+        # back to the first pivot and pivots on it instead.
+        rows.append(Constraint(np.array([1.0]), 1.0 + 1e-10))
+        third = lp_baseline._resume(LinearProgram(np.ones(1), rows, **bounds), second)
+        assert resumes["resumed_pivots"] == 1
+        assert third.x.tolist() == [1.0 + 1e-10]
+        assert resumes["calls"] == 2 and resumes["fallbacks"] == 0
+
+    def test_cut_with_negative_rhs_takes_the_cold_phase_1_path(self, resumes):
+        # A ball off the origin cuts the box corner (5, 5) with the row
+        # (x0 + x1) / sqrt(2) <= 1 - 6 / sqrt(2).
+        box = []
+        for e in np.eye(2):
+            box += [Constraint(e, 5.0), Constraint(-e, 5.0)]
+        oracle = BallOracle(np.array([-3.0, -3.0]), 1.0)
+        res = cut_loop(oracle, np.ones(2), box, lb=np.full(2, -np.inf), max_iters=6)
+        assert res.cuts[0].b < 0
+        # Every LP after that cut needs phase 1, so each starts cold.
+        assert resumes["calls"] == resumes["fallbacks"] == len(res.cuts) - (not res.converged)
+        assert resumes["calls"] >= 2
+
+    def test_loop_stopped_by_its_cap_matches_the_cold_loop(self, resumes, monkeypatch):
+        fields = dict(nodes=15, triangles=17, seed=0, max_set_size=15, max_iters=5)
+        res = instance_cut_loop("matching", **fields)
+        assert not res.converged and len(res.cuts) == 5
+        assert resumes["calls"] == 4  # the fifth cut ends the loop before its LP
+        monkeypatch.setattr(lp_baseline, "_resume", lambda lp, prev: lp_baseline.solve_lp(lp))
+        cold = instance_cut_loop("matching", **fields)
+        assert res.x.tobytes() == cold.x.tobytes() and res.value == cold.value
+        assert [c.a.tobytes() for c in res.cuts] == [c.a.tobytes() for c in cold.cuts]
+        assert res.trace.to_csv() == cold.trace.to_csv()
