@@ -12,9 +12,11 @@ the shared 1%-of-optimum stopping rule.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +36,8 @@ from .oracle import (
 log = logging.getLogger(__name__)
 
 _SUPPORT_TOL = 1e-9
-_BLOCK_ENTRIES = 1 << 22  # entries per odd-set block (32 MB float) and kept component (4 MB bool)
+_BLOCK_ENTRIES = 1 << 22  # entries of a kept, shared or streamed odd-set table (4 MB bool)
+_CHUNK_ENTRIES = 1 << 15  # float entries scored by one product (256 kB, stays in cache)
 _MATCHING_BRUTE_CAP = 24
 _CLIQUE_BRUTE_CAP = 30
 
@@ -68,6 +71,13 @@ class Graph:
         for u, v in self.edges:
             adj[u, v] = adj[v, u] = True
         return adj
+
+    @functools.cached_property
+    def ends(self) -> np.ndarray:
+        """Edge ends as a read-only (2, n_edges) index array."""
+        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
+        ends.flags.writeable = False
+        return ends
 
     def incident_edges(self) -> list[list[int]]:
         inc: list[list[int]] = [[] for _ in range(self.n_nodes)]
@@ -146,61 +156,60 @@ def random_gnp(n_nodes: int, p: float, seed: int) -> Graph:
 # -- odd-set (blossom) separation -----------------------------------------
 
 
-def _support_components(graph: Graph, x: np.ndarray):
-    """Connected components of the subgraph of edges with positive weight."""
+def _support_components(graph: Graph, x: np.ndarray) -> list[tuple[int, ...]]:
+    """Connected components of the subgraph of edges with positive weight.
+
+    Each component is its sorted node tuple; components come in order of
+    their smallest node, and nodes on no such edge belong to none.
+    """
     parent = list(range(graph.n_nodes))
 
     def find(a):
         while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
+            parent[a] = a = parent[parent[a]]
         return a
 
     touched = set()
-    for j, (u, v) in enumerate(graph.edges):
-        if x[j] > _SUPPORT_TOL:
+    for (u, v), weight in zip(graph.edges, x.tolist()):
+        if weight > _SUPPORT_TOL:
             touched.update((u, v))
             ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-    comp = np.full(graph.n_nodes, -1)
-    roots: dict[int, int] = {}
+            parent[max(ru, rv)] = min(ru, rv)
+    groups: dict[int, list[int]] = {}
     for v in sorted(touched):
-        root = find(v)
-        comp[v] = roots.setdefault(root, len(roots))
-    return comp, len(roots)
+        groups.setdefault(find(v), []).append(v)
+    return [tuple(nodes) for nodes in groups.values()]
 
 
-def _oddset_blocks(graph: Graph, nodes: tuple[int, ...], max_set_size: int):
-    """A component's odd subsets as (size, subsets, inside) blocks.
+def _subset_blocks(k: int, max_set_size: int, block_rows: int):
+    """Odd subsets of range(k) in (size, lexicographic) order, as (member, half) blocks.
 
-    Subsets come in (size, lexicographic) order, at most _BLOCK_ENTRIES
-    matrix entries a block; inside[i, j] says whether edge j lies in subset i.
+    A block holds up to block_rows subsets of one size and half = (size - 1) / 2;
+    member[i, v] says whether node v is in subset i (v = k: outside, never).
+    BLAS sums the rows of a row-major matrix in groups of four, and a ragged
+    tail, or a lone row, in another order; padding each block with empty
+    rows to a multiple of four keeps a subset's score independent of its table.
     """
-    ends = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
-    block_rows = max(1, _BLOCK_ENTRIES // max(1, graph.n_edges))
-    node_type = np.min_scalar_type(graph.n_nodes)
-    for size in range(3, min(max_set_size, len(nodes)) + 1, 2):
-        subsets = itertools.combinations(nodes, size)
+    for size in range(3, min(max_set_size, k) + 1, 2):
+        subsets = itertools.combinations(range(k), size)
         while True:
             flat = itertools.chain.from_iterable(itertools.islice(subsets, block_rows))
-            block = np.fromiter(flat, dtype=node_type).reshape(-1, size)
+            block = np.fromiter(flat, dtype=np.min_scalar_type(k)).reshape(-1, size)
             if block.size == 0:
                 break
-            rows = block.shape[0]
-            # BLAS sums the rows of a row-major matrix in groups of four,
-            # and a ragged tail, or a lone row, in another order; padding
-            # keeps a subset's score independent of its block.
-            member = np.zeros((-(-rows // 4) * 4, graph.n_nodes), dtype=bool)
-            np.put_along_axis(member[:rows], block, True, axis=1)
-            inside = member.take(ends[0], axis=1) & member.take(ends[1], axis=1)
-            yield size, block, inside
+            member = np.zeros((-(-len(block) // 4) * 4, k + 1), dtype=bool)
+            np.put_along_axis(member[: len(block)], block, True, axis=1)
+            yield member, (size - 1) / 2.0
 
 
-def _table_entries(graph: Graph, n_nodes: int, max_set_size: int) -> int:
-    """Entries of a component's padded tables, each size in one block."""
-    sizes = range(3, min(max_set_size, n_nodes) + 1, 2)
-    return graph.n_edges * sum(-(-math.comb(n_nodes, size) // 4) * 4 for size in sizes)
+@functools.lru_cache(maxsize=32)
+def _subset_table(k: int, max_set_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every size's block of _subset_blocks stacked: member and each row's half."""
+    blocks = list(_subset_blocks(k, max_set_size, sys.maxsize))
+    member = np.concatenate([m for m, _ in blocks])
+    halves = np.concatenate([np.full(len(m), half) for m, half in blocks])
+    member.flags.writeable = halves.flags.writeable = False  # every caller shares them
+    return member, halves
 
 
 def best_violated_oddset(graph: Graph, x, max_set_size: int = 9, tables: dict | None = None):
@@ -209,37 +218,56 @@ def best_violated_oddset(graph: Graph, x, max_set_size: int = 9, tables: dict | 
     Returns (violation, node tuple) with the raw violation of the inequality
     as written; (0.0, None) when nothing exceeds zero.  Ties resolve to the
     first subset in (size, lexicographic) order.  The component restriction
-    is lossless whenever the query satisfies the degree constraints.  Each
-    odd size of each component is one matrix product over 0/1 edge rows.
+    is lossless whenever the query satisfies the degree constraints.
 
-    `tables` keeps those rows between calls: it maps a component's node
-    tuple to its blocks, and after the call it holds exactly this call's
-    components whose tables fit in _BLOCK_ENTRIES entries; larger ones are
-    built block by block and dropped.  One dict serves one graph and one
-    max_set_size.  The scores do not depend on whether a block was kept.
+    A component's 0/1 edge rows are cut from the shared table of its size's
+    odd subsets, or past _BLOCK_ENTRIES entries built block by block, and
+    scored in cache-sized chunks.  `tables` (one dict per graph and
+    max_set_size) is left mapping this call's components of three or more
+    nodes, in order, to their rows (None if built by blocks), which the
+    next call reuses.  The scores are the same whichever way rows are made.
     """
     x = as_vector(x)
     if x.shape[0] != graph.n_edges:
         raise ValueError("weight vector length must match the edge count")
     if max_set_size < 3:
         raise ValueError("odd sets start at size 3")
-    comp, n_comp = _support_components(graph, x)
     tables = {} if tables is None else tables
     previous = tables.copy()
     tables.clear()
-    winners = []  # (violation, size, node tuple) of each block
-    for cid in range(n_comp):
-        nodes = tuple(np.flatnonzero(comp == cid).tolist())
-        if nodes in previous:
-            tables[nodes] = previous[nodes]
-        elif _table_entries(graph, len(nodes), max_set_size) <= _BLOCK_ENTRIES:
-            tables[nodes] = list(_oddset_blocks(graph, nodes, max_set_size))
-        blocks = tables[nodes] if nodes in tables else _oddset_blocks(graph, nodes, max_set_size)
-        for size, block, inside in blocks:
-            viol = (inside.astype(float, order="C") @ x)[: block.shape[0]] - (size - 1) / 2.0
+    width = max(1, graph.n_edges)
+    buf = np.empty((max(4, _CHUNK_ENTRIES // width // 4 * 4), graph.n_edges))
+    winners = []  # (violation, size, node tuple) of each table
+    for nodes in _support_components(graph, x):
+        k = len(nodes)
+        if k < 3:
+            continue
+        local = np.full(graph.n_nodes, k, dtype=np.intp)
+        local[list(nodes)] = np.arange(k)
+        lo, hi = local[graph.ends]
+        rows = sum(-(-math.comb(k, s) // 4) * 4 for s in range(3, min(max_set_size, k) + 1, 2))
+        if rows * max(k + 1, width) <= _BLOCK_ENTRIES:  # the subset and the edge table fit
+            member, halves = _subset_table(k, max_set_size)
+            inside = previous.get(nodes)
+            if inside is None:
+                inside = member.take(lo, axis=1) & member.take(hi, axis=1)
+            tables[nodes] = inside
+            parts = [(member, halves, inside)]
+        else:
+            tables[nodes] = None
+            blocks = _subset_blocks(k, max_set_size, max(1, _BLOCK_ENTRIES // max(k + 1, width)))
+            parts = ((m, h, m.take(lo, axis=1) & m.take(hi, axis=1)) for m, h in blocks)
+        for member, halves, inside in parts:
+            viol = np.empty(len(inside))
+            for start in range(0, len(inside), len(buf)):
+                part = inside[start : start + len(buf)]
+                np.copyto(buf[: len(part)], part)
+                np.matmul(buf[: len(part)], x, out=viol[start : start + len(part)])
+            viol -= halves
             row = int(np.argmax(viol))
             if viol[row] > 0.0:
-                winners.append((float(viol[row]), size, tuple(block[row].tolist())))
+                subset = tuple(nodes[v] for v in np.flatnonzero(member[row]).tolist())
+                winners.append((float(viol[row]), len(subset), subset))
     if not winners:
         return 0.0, None
     viol, _, subset = min(winners, key=lambda w: (-w[0], w[1], w[2]))
@@ -249,11 +277,9 @@ def best_violated_oddset(graph: Graph, x, max_set_size: int = 9, tables: dict | 
 def oddset_constraint(graph: Graph, subset) -> Constraint:
     """Blossom row for the node subset, scaled to right-hand side 1."""
     scale = (len(subset) - 1) / 2.0
-    nodes = set(subset)
-    a = np.zeros(graph.n_edges)
-    for j, (u, v) in enumerate(graph.edges):
-        if u in nodes and v in nodes:
-            a[j] = 1.0 / scale
+    member = np.zeros(graph.n_nodes, dtype=bool)
+    member[list(subset)] = True
+    a = np.where(member[graph.ends[0]] & member[graph.ends[1]], 1.0 / scale, 0.0)
     name = "oddset:" + "|".join(str(v) for v in sorted(subset))
     return Constraint(a, 1.0, ConstraintForm.POLAR, name)
 
@@ -373,12 +399,8 @@ def brute_force_matching_opt(graph: Graph) -> int:
             f"instance too large for brute force ({len(touched)} matched nodes > "
             f"{_MATCHING_BRUTE_CAP})"
         )
-    if graph.n_edges == 0:
-        return 0
-    comp, n_comp = _support_components(graph, np.ones(graph.n_edges))
     total = 0
-    for cid in range(n_comp):
-        nodes = [v for v in range(graph.n_nodes) if comp[v] == cid]
+    for nodes in _support_components(graph, np.ones(graph.n_edges)):
         index = {v: i for i, v in enumerate(nodes)}
         adj_mask = [0] * len(nodes)
         for u, v in graph.edges:
@@ -539,12 +561,10 @@ class MatchingOracle(SeparationOracle):
         outside = separate_nonneg(x)
         if outside is not None:
             return outside
-        inc = self._incidence
+        weights = x.tolist()
         best_deg, best_node = 0.0, None
-        for v in range(self.graph.n_nodes):
-            if not inc[v]:
-                continue
-            viol = float(sum(x[j] for j in inc[v])) - 1.0
+        for v, edges in enumerate(self._incidence):  # an isolated node scores -1
+            viol = sum(weights[j] for j in edges) - 1.0
             if viol > best_deg:
                 best_deg, best_node = viol, v
         odd_viol, subset = best_violated_oddset(
@@ -556,15 +576,13 @@ class MatchingOracle(SeparationOracle):
         if odd_viol > VIOLATION_TOL:
             cons = oddset_constraint(self.graph, subset)
             return Violated(cons, cons.violation(x))
-        if not self._warned_cap:
-            comp, n_comp = _support_components(self.graph, x)
-            if n_comp and max(np.bincount(comp[comp >= 0])) > self.max_set_size:
-                self._warned_cap = True
-                log.warning(
-                    "odd-set size cap %d was binding for an inside verdict; "
-                    "larger violated odd sets may exist",
-                    self.max_set_size,
-                )
+        if not self._warned_cap and any(len(c) > self.max_set_size for c in self._oddset_tables):
+            self._warned_cap = True
+            log.warning(
+                "odd-set size cap %d was binding for an inside verdict; "
+                "larger violated odd sets may exist",
+                self.max_set_size,
+            )
         return Inside()
 
 

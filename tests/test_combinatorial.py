@@ -181,6 +181,47 @@ def bridged_k5_queries(rng):
     ]
 
 
+def reference_oddset(graph: Graph, x, max_set_size):
+    """The per-size scorer that best_violated_oddset's chunked one replaced.
+
+    Kept as the bit-for-bit reference: each odd size of each support
+    component is one product of its 0/1 edge rows, padded with empty rows
+    to a multiple of four and converted to float whole.
+    """
+    x = np.asarray(x, dtype=float)
+    ends = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
+    winners = []
+    for nodes in support_components(graph, x):
+        for size in range(3, min(max_set_size, len(nodes)) + 1, 2):
+            block = np.array(list(itertools.combinations(nodes, size)))
+            rows = len(block)
+            member = np.zeros((-(-rows // 4) * 4, graph.n_nodes), dtype=bool)
+            np.put_along_axis(member[:rows], block, True, axis=1)
+            inside = member.take(ends[0], axis=1) & member.take(ends[1], axis=1)
+            viol = (inside.astype(float, order="C") @ x)[:rows] - (size - 1) / 2.0
+            row = int(np.argmax(viol))
+            if viol[row] > 0.0:
+                winners.append((float(viol[row]), size, tuple(block[row].tolist())))
+    if not winners:
+        return 0.0, None
+    viol, _, subset = min(winners, key=lambda w: (-w[0], w[1], w[2]))
+    return viol, subset
+
+
+def triangle_union_queries(rng, count):
+    """(graph, x, cap) on triangle unions; half the queries tie on x in {0, 1/3, 1/2, 2/3}."""
+    cases = []
+    for trial in range(count):
+        g = generate_triangle_instance(int(rng.integers(9, 16)), int(rng.integers(5, 18)), seed=trial)
+        if trial % 2:
+            x = rng.choice([0.0, 1 / 3, 0.5, 2 / 3], size=g.n_edges)
+        else:
+            x = rng.uniform(0, 1, size=g.n_edges)
+            x[rng.random(g.n_edges) < 0.3] = 0.0
+        cases.append((g, x, int(rng.choice([3, 5, 7, 9, 11, 13, 15]))))
+    return cases
+
+
 def kept_entries(graph: Graph, k: int, cap: int) -> int:
     """Table entries of a k-node component: its odd subsets, padded to fours."""
     return graph.n_edges * sum(-(-math.comb(k, s) // 4) * 4 for s in range(3, min(cap, k) + 1, 2))
@@ -271,6 +312,26 @@ class TestOddsetSeparation:
             found.add(len(subset))
         assert found == {5, 7}
 
+    @pytest.mark.parametrize("block_rows, chunk_rows", [(None, None), (None, 4), (7, None), (2, 4)])
+    def test_bit_for_bit_with_the_per_size_scorer(self, block_rows, chunk_rows, monkeypatch):
+        # Small block budgets stream every component larger than a few rows
+        # through the same scorer; small chunks split every product into
+        # groups of four rows.  BLAS threading is left as it is.
+        cases = triangle_union_queries(np.random.default_rng(29), 24)
+        assert any(len(c) > 9 for g, x, _ in cases for c in support_components(g, x))
+        found = 0
+        for g, x, cap in cases:
+            if block_rows is not None:
+                monkeypatch.setattr(combinatorial, "_BLOCK_ENTRIES", block_rows * g.n_edges)
+            if chunk_rows is not None:
+                monkeypatch.setattr(combinatorial, "_CHUNK_ENTRIES", chunk_rows * g.n_edges)
+            viol, subset = best_violated_oddset(g, x, cap)
+            ref_viol, ref_subset = reference_oddset(g, x, cap)
+            assert subset == ref_subset
+            assert float(viol).hex() == float(ref_viol).hex()
+            found += subset is not None
+        assert found >= len(cases) // 2
+
     @pytest.mark.parametrize("block_rows", [None, 8, 1])
     def test_oracle_tables_match_fresh_calls(self, block_rows, monkeypatch):
         # None keeps every component, 8 rows keeps the triangle and streams
@@ -307,7 +368,10 @@ class TestOddsetSeparation:
     def test_oracle_keeps_only_this_calls_fitting_components(self, monkeypatch):
         # 20 rows per kept component: the triangle (4 padded rows) and a
         # 4-node piece of a K5 (4 + 0) fit, a whole K5 (12 + 4) fits, the
-        # bridged 10-node component never does.
+        # bridged 10-node component never does.  Each kept component is one
+        # bool edge table, cut from the shared table of its size's subsets;
+        # the dict also lists the components it does not keep, for the cap
+        # warning.
         g = BRIDGED_K5S
         monkeypatch.setattr(combinatorial, "_BLOCK_ENTRIES", 20 * g.n_edges)
         oracle = MatchingOracle(g, max_set_size=5)
@@ -317,13 +381,53 @@ class TestOddsetSeparation:
         for x in queries:
             oracle.separate(x)
             components = support_components(g, x)
-            fitting = {c for c in components if kept_entries(g, len(c), 5) <= 20 * g.n_edges}
-            assert set(oracle._oddset_tables) == fitting
-            assert len(oracle._oddset_tables) <= 3
-            assert not any(len(c) == 10 for c in oracle._oddset_tables)
-            for blocks in oracle._oddset_tables.values():
-                assert all(inside.dtype == bool for _, _, inside in blocks)
-                assert sum(inside.size for _, _, inside in blocks) <= 20 * g.n_edges
+            tables = oracle._oddset_tables
+            assert list(tables) == [c for c in sorted(components) if len(c) >= 3]
+            fitting = {c for c in tables if kept_entries(g, len(c), 5) <= 20 * g.n_edges}
+            kept = {c: table for c, table in tables.items() if table is not None}
+            assert set(kept) == fitting
+            assert len(kept) <= 3
+            assert not any(len(c) == 10 for c in kept)
+            for nodes, table in kept.items():
+                assert table.dtype == bool
+                assert table.size == kept_entries(g, len(nodes), 5) <= 20 * g.n_edges
+                member, _ = combinatorial._subset_table(len(nodes), 5)
+                assert member.size <= 20 * g.n_edges
+
+    def test_binding_cap_warns_once_per_oracle_on_an_inside_verdict(self, caplog):
+        # C5 at 1/2 meets every degree row and holds no triangle; only the
+        # 5-node odd set, beyond a cap of 3, is violated.
+        c5 = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        caplog.set_level("WARNING", logger="oracleopt.combinatorial")
+
+        def warnings():
+            return [r for r in caplog.records if "cap 3 was binding" in r.getMessage()]
+
+        def on(**weights):
+            return [weights.get(f"e{u}{v}", 0.0) for u, v in c5.edges]
+
+        capped = MatchingOracle(c5, max_set_size=3)
+        assert isinstance(capped.separate(on(e01=1.0, e23=1.0)), Inside)  # no component > 3
+        degree = capped.separate(on(e01=0.8, e12=0.8, e23=0.1))  # a 4-node component
+        assert degree.constraint.name == "degree:1"
+        assert warnings() == []
+        assert isinstance(capped.separate([0.5] * 5), Inside)
+        assert isinstance(capped.separate([0.5] * 5), Inside)
+        assert len(warnings()) == 1
+        assert isinstance(MatchingOracle(c5, max_set_size=3).separate([0.5] * 5), Inside)
+        assert len(warnings()) == 2
+        assert isinstance(MatchingOracle(c5, max_set_size=5).separate([0.5] * 5), Violated)
+        assert isinstance(MatchingOracle(c5, max_set_size=5).separate([0.4] * 5), Inside)
+        assert len(warnings()) == 2
+
+    def test_oddset_rows_mark_the_edges_inside(self):
+        for seed in range(5):
+            g = generate_triangle_instance(12, 6, seed=seed)
+            for subset in [(0, 1, 2), tuple(range(0, 12, 2))[:5], tuple(range(11))]:
+                row = oddset_constraint(g, subset)
+                scale = (len(subset) - 1) / 2.0
+                expected = [1.0 / scale if u in subset and v in subset else 0.0 for u, v in g.edges]
+                assert [float(a).hex() for a in row.a] == [float(a).hex() for a in expected]
 
     def test_emitted_rows_valid_for_all_matchings(self):
         g = generate_triangle_instance(8, 3, seed=9)
