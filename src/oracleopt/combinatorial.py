@@ -79,6 +79,15 @@ class Graph:
         ends.flags.writeable = False
         return ends
 
+    @functools.cached_property
+    def neighbours(self) -> tuple[int, ...]:
+        """Each node's neighbours as a bitmask."""
+        nbr = [0] * self.n_nodes
+        for u, v in self.edges:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        return tuple(nbr)
+
     def incident_edges(self) -> list[list[int]]:
         inc: list[list[int]] = [[] for _ in range(self.n_nodes)]
         for i, (u, v) in enumerate(self.edges):
@@ -299,10 +308,7 @@ def max_weight_clique(graph: Graph, weights) -> tuple[float, tuple[int, ...]]:
     if weights.shape[0] != graph.n_nodes:
         raise ValueError("weight vector length must match the node count")
     w = weights.tolist()
-    nbr = [0] * graph.n_nodes
-    for u, v in graph.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+    nbr = graph.neighbours
     nodes = [v for v in range(graph.n_nodes) if w[v] > _SUPPORT_TOL]
     nodes.sort(key=lambda v: (-w[v], v))
     best_w = 0.0
@@ -333,9 +339,10 @@ def max_weight_clique(graph: Graph, weights) -> tuple[float, tuple[int, ...]]:
             return
         if current_w + color_bound(cands) <= best_w + 1e-15:
             return
+        cand_w = [w[u] for u in cands]
         for i, v in enumerate(cands):
             rest = cands[i + 1 :]
-            if current_w + w[v] + sum(w[u] for u in rest) <= best_w + 1e-15:
+            if current_w + w[v] + sum(cand_w[i + 1 :]) <= best_w + 1e-15:
                 return
             current.append(v)
             expand(current, current_w + w[v], [u for u in rest if nbr[v] >> u & 1])

@@ -82,8 +82,9 @@ class AtomSet:
         """The set of `row`, then of each of `rows` in turn, as `add` would build it."""
         self.rows: list[Constraint] = []
         self._index: dict[str, int] = {}
-        kept = [v for r, v in zip((row, *rows), (vector, *vectors)) if self._keep(r)]
-        self.matrix = np.array(kept, dtype=float)
+        kept = [self._keep(r) for r in (row, *rows)]
+        matrix = np.vstack((vector, np.reshape(vectors, (len(rows), len(vector)))), dtype=float)
+        self.matrix = matrix if all(kept) else matrix[kept]
 
     def _keep(self, row: Constraint) -> bool:
         """Store row unless its name is stored already."""
@@ -136,13 +137,13 @@ def min_norm_point(target, atoms, recession_nonneg: bool = False, start=None) ->
     m, n = matrix.shape if matrix.ndim == 2 else (0, 0)
     if m == 0 or n != target.shape[0]:
         raise ValueError(f"need at least one atom, as a row of length {target.shape[0]}")
-    if not np.all(np.isfinite(matrix)):
+    if not np.isfinite(matrix).all():
         raise ValueError("atom entries must be finite")
     # Minimize ||shifted^T w + D t||, scaled by 2^-e so that max|shifted| lies
     # in [1/2, 1): exact in floating point, and it makes the tolerances below
     # relative to the atoms' spread.
     shifted = matrix - target
-    e = np.frexp(np.max(np.abs(shifted)))[1]
+    e = np.frexp(np.abs(shifted).max())[1]
     shifted = np.ldexp(shifted, -e)
 
     # Active sets: atom indices and, in the recession case, ray coordinates
@@ -152,7 +153,7 @@ def min_norm_point(target, atoms, recession_nonneg: bool = False, start=None) ->
     if start is not None and not recession_nonneg:
         start = as_vector(start)
         heaviest = np.argsort(-start, kind="stable")[: n + 1]
-        active_atoms = sorted(int(i) for i in heaviest if start[i] > 0)
+        active_atoms = np.sort(heaviest[start[heaviest] > 0]).tolist()
         if start.shape[0] != m or not active_atoms:
             raise ValueError(f"start must be {m} weights, at least one positive")
         w = start[active_atoms] / start[active_atoms].sum()
@@ -165,7 +166,7 @@ def min_norm_point(target, atoms, recession_nonneg: bool = False, start=None) ->
             y[i] -= tvals[k]
         return y
 
-    scale = 1.0 + float(np.max(np.abs(shifted)))
+    scale = 1.0 + float(np.abs(shifted).max())
     best = None
     max_major = 50 * max(m, n)
     converged = False
@@ -176,32 +177,25 @@ def min_norm_point(target, atoms, recession_nonneg: bool = False, start=None) ->
         # start into a corral before any atom enters.
         for _ in range(len(active_atoms) + len(active_rays) + 2):
             w_aff, t_aff = _affine_minimizer(shifted, active_atoms, active_rays, recession_nonneg)
-            if np.all(w_aff >= -1e-12) and np.all(t_aff >= -1e-12):
+            if (w_aff >= -1e-12).all() and (t_aff >= -1e-12).all():
                 w = np.maximum(w_aff, 0.0)
                 s = w.sum()
                 if s > 0:
                     w = w / s
                 tvals = np.maximum(t_aff, 0.0)
                 break
-            theta = 1.0
-            for j in range(len(w)):
-                if w_aff[j] < w[j] - 1e-15:
-                    theta = min(theta, w[j] / (w[j] - w_aff[j]))
-            for k in range(len(tvals)):
-                if t_aff[k] < tvals[k] - 1e-15:
-                    theta = min(theta, tvals[k] / (tvals[k] - t_aff[k]))
-            theta = max(theta, 0.0)
+            theta = _step_back(np.concatenate((w, tvals)), np.concatenate((w_aff, t_aff)))
             w = w + theta * (w_aff - w)
             tvals = tvals + theta * (t_aff - tvals)
             keep = w > 1e-12
-            if not np.all(keep):
-                if np.all(~keep):
+            if not keep.all():
+                if not keep.any():
                     keep[int(np.argmax(w))] = True  # keep one atom for the simplex
                 active_atoms = [a for a, k in zip(active_atoms, keep) if k]
                 w = w[keep]
                 w = w / w.sum()
             keep_r = tvals > 1e-12
-            if not np.all(keep_r):
+            if not keep_r.all():
                 active_rays = [r for r, k in zip(active_rays, keep_r) if k]
                 tvals = tvals[keep_r]
         y = current_y()
@@ -246,6 +240,16 @@ def min_norm_point(target, atoms, recession_nonneg: bool = False, start=None) ->
     return MinNormResult(point=point, weights=weights, slack=slack, converged=converged)
 
 
+def _step_back(old: np.ndarray, new: np.ndarray) -> float:
+    """The longest step in [0, 1] from old toward new that keeps every entry
+    nonnegative.  Of 1 and the ratios of the entries that fall, it takes the
+    first smallest, as a sequential min() fold would: only the sign of a zero
+    ratio depends on that order."""
+    falls = new < old - 1e-15
+    ratios = np.concatenate(([1.0], old[falls] / (old[falls] - new[falls])))
+    return max(float(ratios[ratios.argmin()]), 0.0)
+
+
 def _affine_minimizer(shifted, active_atoms, active_rays, recession_nonneg):
     """Minimize ||S^T w + D t|| s.t. sum(w) = 1, with w, t unrestricted.
 
@@ -272,7 +276,7 @@ def _affine_minimizer(shifted, active_atoms, active_rays, recession_nonneg):
             pass
         else:
             w = v / v.sum()
-            if np.all(np.isfinite(w)):
+            if np.isfinite(w).all():
                 return w, np.zeros(0)
     r = len(active_rays)
     size = k + r + 1

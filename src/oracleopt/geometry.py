@@ -20,7 +20,7 @@ def as_vector(v) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         arr = arr.reshape(-1)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("vector entries must be finite")
     return arr
 

@@ -7,7 +7,9 @@ initialization, and the shared stopping rule that checks the LP over the
 initial plus separated constraints against the true optimum.
 
 Consecutive runs on one instance share it: its oracle, reference optimum and
-solved initial LP are built once, and its arrays are read-only.
+solved initial LP are built once, and its arrays are read-only.  The LP stop
+rule resumes from that solve's final tableau and the cut loop from its pivot
+path, so no run solves the initial LP again.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import combinatorial as comb
 from . import corrective as corr
-from .lp_baseline import LinearProgram, LPStop, _WarmStart, cut_loop
+from .lp_baseline import LinearProgram, LPResult, LPStop, cut_loop, solve_lp
 from .oracle import BallOracle, Constraint, box_oracle
 from .solver_general import run_general
 from .solver_polar import PolarMode, run_polar
@@ -151,7 +153,7 @@ class Instance:
     opt_ref: Optional[float]
     polar_mode: PolarMode
     gamma_standard: float
-    initial_lp: Optional[_WarmStart] = None  # the solved LP over initial_rows, set on first use
+    initial_lp: Optional[LPResult] = None  # the cold solve of the LP over initial_rows
 
 
 def build_instance(config: ExperimentConfig, need_opt: bool) -> Instance:
@@ -236,16 +238,15 @@ def _shared_instance(key: tuple, need_opt: bool) -> Instance:
     return instance
 
 
-def _initial_lp(instance: Instance) -> _WarmStart:
-    """A copy of the instance's solved initial LP, from which an LP stop rule resumes."""
+def _initial_lp(instance: Instance) -> tuple[LinearProgram, LPResult]:
+    """The LP over the instance's initial rows and its solve, made on first use."""
+    lp = LinearProgram(instance.c, list(instance.initial_rows), lb=instance.lb, ub=instance.ub)
     if instance.initial_lp is None:
-        lp = LinearProgram(instance.c, list(instance.initial_rows), lb=instance.lb, ub=instance.ub)
-        warm = _WarmStart()
-        warm.solve(lp)
-        for array in warm.final:
+        res = solve_lp(lp)
+        for array in (res.x, *res.final):
             array.flags.writeable = False
-        instance.initial_lp = warm
-    return replace(instance.initial_lp)
+        instance.initial_lp = res
+    return lp, instance.initial_lp
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optional[str]]:
@@ -269,7 +270,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
             every=config.lp_check_every,
         )
         if config.method != "cutloop":  # the cut loop never asks its stop rule for an LP
-            stop.warm = _initial_lp(instance)
+            stop.warm.seed(*_initial_lp(instance))
     elif stop_kind == "gap":
         stop = GapStop(rel=config.epsilon)
     else:
@@ -284,6 +285,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
             ub=instance.ub,
             stop=stop,
             max_iters=config.iters,
+            first=_initial_lp(instance)[1],
         )
         iterations, gamma, bound = len(result.cuts), result.value, result.value
     else:

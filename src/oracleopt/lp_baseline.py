@@ -13,7 +13,9 @@ solve's tableau, basis and x.  From the slack basis, the cold solve of an
 LP plus one row repeats the LP's pivots up to the first ratio test that the
 new row changes.  So each solve keeps its pivots (`_Path`), with the entries
 they overwrote; the next LP replays only its new row along them, writes the
-old entries back down to that pivot and goes on from there.
+old entries back down to that pivot and goes on from there.  The first LP
+can come solved: the harness solves each instance's initial LP once, and
+each cut loop on it resumes from its own copy of that solve's path.
 
 The stopping bound needs only the optimal value and gains a few rows per
 iteration, so `LPStop` warm-starts it: the new rows join the previous
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import bisect
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,7 +66,7 @@ class LinearProgram:
         n = self.objective.shape[0]
         self.lb = np.zeros(n) if self.lb is None else np.asarray(self.lb, dtype=float)
         self.ub = np.full(n, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float)
-        if not np.all((self.lb == 0) | np.isneginf(self.lb)):
+        if not ((self.lb == 0) | np.isneginf(self.lb)).all():
             raise ValueError("lower bounds must be 0 or -inf")
 
 
@@ -92,7 +94,7 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     le_b = np.concatenate([[r.b for r in lp.rows], lp.ub[bounded]])
     eq_b = np.array([r.b for r in lp.equalities], dtype=float)
     c, le, eq = (_expand(a, free) for a in (lp.objective, le, _stack(lp.equalities, n)))
-    path = None if len(eq) or np.any(le_b < 0) else _Path(len(c), len(bounded))
+    path = None if len(eq) or (le_b < 0).any() else _Path(len(c), len(bounded))
     return _result(lp, _simplex(c, le, le_b, eq, eq_b, path), path)
 
 
@@ -274,6 +276,12 @@ class _Path(list):
         self.ncols, self.n_bound = ncols, n_bound  # structural columns, bound rows
         self.settled = 0  # pivots held as `_Step`s
 
+    def fork(self) -> _Path:
+        """A copy for a resume to take over; raw records are shared, never changed."""
+        twin = _Path(self.ncols, self.n_bound)
+        twin.extend(self)
+        return twin
+
     def settle(self, tableau: np.ndarray) -> None:
         """Turn the raw records of the solve that left `tableau` into steps."""
         height, width = tableau.shape
@@ -369,8 +377,9 @@ def _dual_iterate(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -
     """Dual simplex until the rhs is feasible, under Bland's rule for the dual:
     the infeasible row with the smallest basic index leaves, and the column of
     minimum ratio enters, ties to the lowest index."""
+    rhs, costs = tableau[:-1, -1], tableau[-1, :-1]
     while True:
-        infeasible = (tableau[:-1, -1] < -_PIVOT_TOL).nonzero()[0]
+        infeasible = (rhs < -_PIVOT_TOL).nonzero()[0]
         if not len(infeasible):
             return
         row = infeasible[basis[infeasible].argmin()]
@@ -378,7 +387,7 @@ def _dual_iterate(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -
         cols = (allowed & (entries < -_PIVOT_TOL)).nonzero()[0]
         if not len(cols):
             raise InfeasibleLPError("no entering column for an infeasible row")
-        _pivot(tableau, row, cols[(tableau[-1, cols] / -entries[cols]).argmin()], basis)
+        _pivot(tableau, row, cols[(costs[cols] / -entries[cols]).argmin()], basis)
 
 
 @dataclass
@@ -391,29 +400,34 @@ class _WarmStart:
     final: tuple | None = None
     value: float = np.nan
 
+    def seed(self, lp: LinearProgram, res: LPResult) -> float:
+        """Keep res, the cold solve of lp, to resume from; returns its value."""
+        # Copies: the caller may change its arrays.
+        self.fixed = tuple(v.copy() for v in (lp.objective, lp.lb, lp.ub))
+        self.rows, self.final, self.value = lp.rows, res.final, res.value
+        return res.value
+
     def solve(self, lp: LinearProgram) -> float:
         """Optimal value of lp, reoptimized from the kept tableau when lp extends its LP."""
-        fixed = (lp.objective, lp.lb, lp.ub)
         if not (
             self.final is not None
             and len(lp.rows) >= len(self.rows)
             and all(map(operator.is_, self.rows, lp.rows))
-            and all(map(np.array_equal, self.fixed, fixed))
+            and all(map(np.array_equal, self.fixed, (lp.objective, lp.lb, lp.ub)))
         ):
-            res = solve_lp(lp)
-            self.fixed = tuple(v.copy() for v in fixed)  # the caller may change its arrays
-            self.rows, self.final, self.value = lp.rows, res.final, res.value
-            return res.value
+            return self.seed(lp, solve_lp(lp))
         new = lp.rows[len(self.rows) :]
         if new:
             # Each new row gets its own slack column (zero reduced cost) and
             # has the basic columns eliminated, so the basis stays dual feasible.
-            tableau, basis, allowed = self.final
-            k, m, width = len(new), len(basis), tableau.shape[1] - 1
-            tableau = np.insert(np.insert(tableau, [m] * k, 0.0, axis=0), [width] * k, 0.0, axis=1)
+            kept, basis, allowed = self.final
+            k, m, width = len(new), len(basis), kept.shape[1] - 1
+            tableau = np.zeros((m + k + 1, width + k + 1))
+            tableau[:m, :width], tableau[:m, -1] = kept[:-1, :-1], kept[:-1, -1]
+            tableau[-1, :width], tableau[-1, -1] = kept[-1, :-1], kept[-1, -1]
             a = _expand(_stack(new, len(lp.objective)), np.flatnonzero(np.isneginf(lp.lb)))
             tableau[m:-1, : a.shape[1]] = a
-            tableau[m:-1, width:-1] = np.eye(k)
+            np.fill_diagonal(tableau[m:-1, width:-1], 1.0)
             tableau[m:-1, -1] = [r.b for r in new]
             for row in tableau[m:-1]:
                 # One kept row after another, in row order, like the phase-2 cost row.
@@ -492,12 +506,16 @@ def cut_loop(
     ub=None,
     stop: StopRule | None = None,
     max_iters: int = 1000,
+    first: LPResult | None = None,
 ) -> CutLoopResult:
     """Reference cutting-plane loop: solve the relaxation, separate, repeat.
 
     The iteration count is the number of separated inequalities, not simplex
     pivots.  Stops when the oracle declares the LP optimum inside K, when the
-    stop rule fires on the LP value, or at the iteration limit.
+    stop rule fires on the LP value, or at the iteration limit; a limit of 0
+    solves the initial LP and separates nothing.  `first`, `solve_lp`'s
+    result for the LP over the initial rows, stands in for that solve: the
+    loop resumes from a copy of its pivot path and leaves it as it was.
     """
     c = as_vector(c)
     rows = list(initial_constraints)
@@ -506,18 +524,20 @@ def cut_loop(
     converged = False
     x = np.zeros_like(c)
     value = np.nan
-    res = None
+    res = first and replace(first, x=first.x.copy(), path=first.path and first.path.fork())
 
     for _ in range(max_iters + 1):
         lp = LinearProgram(objective=c, rows=rows + cuts, lb=lb, ub=ub)
         try:
-            res = _resume(lp, res) if cuts else solve_lp(lp)
+            res = _resume(lp, res) if cuts else res or solve_lp(lp)
         except UnboundedLPError as exc:
             raise UnboundedLPError("add bounds to initial constraints") from exc
         x, value = res.x, res.value
 
         if stop is not None and stop.satisfied(gamma=value, bound=value, lp_value=value):
             converged = True
+            break
+        if len(cuts) >= max_iters:
             break
 
         sep = oracle.separate(x)
@@ -537,6 +557,6 @@ def cut_loop(
             )
         )
         if len(cuts) >= max_iters:
-            break
+            break  # before the LP with the last cut
 
     return CutLoopResult(x=x, value=value, cuts=cuts, trace=trace, converged=converged)

@@ -124,7 +124,7 @@ def dual_bound(state: PolarState, R: float) -> float:
 def _polar_row(cons: Constraint, mode: PolarMode) -> Constraint:
     if cons.form is not ConstraintForm.POLAR:
         cons = normalize_polar(cons.a, cons.b, name=cons.name)
-    if mode is PolarMode.PACKING and np.any(cons.a < 0):
+    if mode is PolarMode.PACKING and (cons.a < 0).any():
         # Down-closed bodies admit the positive part of any valid row, and
         # clipping keeps the constraint norms bounded by 1/r.
         cons = Constraint(np.maximum(cons.a, 0.0), 1.0, ConstraintForm.POLAR, cons.name)
@@ -154,7 +154,7 @@ def polar_step(
         anchor = 0
     else:
         if state.mode is PolarMode.PACKING:
-            require(np.min(x) >= -1e-9, "packing query point left the nonnegative orthant")
+            require(x.min() >= -1e-9, "packing query point left the nonnegative orthant")
         result = oracle.separate(x)
         state.oracle_calls += 1
         if isinstance(result, Inside):
@@ -271,8 +271,15 @@ def run_polar(
 
     dim = c.shape[0]
     zero_row = Constraint(np.zeros(dim), 1.0, ConstraintForm.POLAR, "zero")
-    rows = [_polar_row(cons, mode) for cons in initial_constraints]
-    atoms = corr.AtomSet(zero_row, zero_row.a, rows, [row.a for row in rows])
+    # One pass over the stacked rows finds those that need normalizing or clipping.
+    rows = list(initial_constraints)
+    vectors = np.array([row.a for row in rows]).reshape(len(rows), dim)
+    redo = np.array([row.form is not ConstraintForm.POLAR for row in rows], dtype=bool)
+    redo |= (mode is PolarMode.PACKING) & (vectors < 0).any(axis=1)
+    for i in redo.nonzero()[0]:
+        rows[i] = _polar_row(rows[i], mode)
+        vectors[i] = rows[i].a
+    atoms = corr.AtomSet(zero_row, zero_row.a, rows, vectors)
     state = PolarState(
         t=0,
         gamma=float(gamma1),

@@ -159,6 +159,68 @@ class TestMinNormPoint:
         assert np.array_equal(warm.slack, cold.slack)
 
 
+def scalar_step_back(old, new):
+    """The scalar fold that `corrective._step_back` replaced, kept as its
+    bit-for-bit reference: min_norm_point ran it over the atom weights, then
+    over the ray lengths."""
+    theta = 1.0
+    for j in range(len(old)):
+        if new[j] < old[j] - 1e-15:
+            theta = min(theta, old[j] / (old[j] - new[j]))
+    return max(theta, 0.0)
+
+
+class TestStepBackParity:
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ([0.0, -0.0, 0.5], [-1.0, -1.0, 0.0]),  # a zero ratio of either sign comes first
+            ([-0.0, 0.0, 0.5], [-1.0, -1.0, 0.0]),
+            ([0.5, 0.25, 0.25], [0.0, -0.25, 0.5]),  # two equal ratios
+            ([0.5, 0.5], [0.5 - 1e-16, 2.0]),  # a fall within the tolerance
+            ([0.3], [0.7]),  # nothing falls
+            ([], []),
+        ],
+    )
+    def test_matches_the_scalar_fold(self, old, new):
+        old, new = np.array(old), np.array(new)
+        assert corrective._step_back(old, new).hex() == float(scalar_step_back(old, new)).hex()
+
+    @pytest.mark.parametrize("packing", [False, True])
+    def test_min_norm_point_is_bit_identical_with_the_scalar_fold(self, packing):
+        rng = np.random.default_rng(71 + packing)
+        steps = []
+        real = corrective._step_back
+
+        def counting(old, new):
+            steps.append(len(old))
+            return real(old, new)
+
+        started = 0
+        for trial in range(240):
+            m, n = int(rng.integers(2, 25)), int(rng.integers(1, 9))
+            # 0/1 rows tie often, as the packing rows of the combinatorial instances do.
+            atoms = rng.normal(size=(m, n)) if trial % 2 else rng.integers(0, 2, (m, n)) * 1.0
+            target = np.abs(rng.normal(size=n)) * rng.choice([0.5, 1.0, 3.0])
+            start = None
+            if trial % 3:
+                start = np.where(rng.random(m) < 0.5, np.round(rng.random(m), 1), 0.0)
+                start[int(rng.integers(m))] += 0.5
+                start /= start.sum()
+                started += 1
+            with mock.patch.object(corrective, "_step_back", counting):
+                got = min_norm_point(target, atoms, recession_nonneg=packing, start=start)
+            with mock.patch.object(corrective, "_step_back", scalar_step_back):
+                ref = min_norm_point(target, atoms, recession_nonneg=packing, start=start)
+            for field in ("point", "weights", "slack"):
+                a, b = getattr(got, field), getattr(ref, field)
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
+            assert got.converged == ref.converged
+        assert started >= 150 and len(steps) >= 100
+        if packing:
+            assert max(steps) > 1
+
+
 def lstsq_affine_minimizer(shifted, active_atoms, active_rays, recession_nonneg):
     """Reference: the SVD least squares on the bordered KKT system, for every call."""
     S = shifted[active_atoms]

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracleopt import harness
+from oracleopt import combinatorial, harness, lp_baseline
 from oracleopt.certificates import certificate_to_text, verify_certificate
 from oracleopt.cli import main
 from oracleopt.combinatorial import generate_triangle_instance, to_dimacs
@@ -16,7 +16,7 @@ from oracleopt.harness import (
     load_config,
     run_experiment,
 )
-from oracleopt.lp_baseline import LPStop
+from oracleopt.lp_baseline import LPStop, cut_loop
 from oracleopt.solver_general import run_general
 
 
@@ -320,12 +320,64 @@ class TestSharedInstance:
         assert results[1] == run_with_trace(overrides, tmp_path / "fresh", True)
         assert results[0][0].bound < results[1][0].bound
 
+    @pytest.mark.parametrize("family", sorted(SWEEP_GRAPHS))
+    def test_cut_loop_on_a_shared_instance_matches_a_fresh_build(
+        self, family, builds, monkeypatch
+    ):
+        loops = []
+        real = harness.cut_loop
+        monkeypatch.setattr(
+            harness, "cut_loop", lambda *a, **k: loops.append(real(*a, **k)) or loops[-1]
+        )
+        base = dict(SWEEP_GRAPHS[family], out="")
+        run_experiment(load_config(None, dict(base, method="polar", frequency=1)))
+        [instance] = builds
+        kept = instance.initial_lp
+        tableau, basis, allowed = (array.tobytes() for array in kept.final)
+        pivots = len(kept.path)
+        for _ in range(2):
+            run_experiment(load_config(None, dict(base, method="cutloop")))
+        fresh = build_instance(load_config(None, base), need_opt=True)
+        stop = LPStop(fresh.opt_ref, fresh.initial_rows, fresh.lb, fresh.ub)
+        ref = cut_loop(fresh.oracle, fresh.c, fresh.initial_rows, lb=fresh.lb, ub=fresh.ub,
+                       stop=stop)
+        assert len(builds) == 1 and ref.cuts  # the three runs shared one instance
+        for loop in loops:
+            assert loop.trace.to_csv() == ref.trace.to_csv()
+            assert [(c.name, c.a.tobytes()) for c in loop.cuts] == [
+                (c.name, c.a.tobytes()) for c in ref.cuts
+            ]
+            assert loop.value == ref.value and loop.x.tobytes() == ref.x.tobytes()
+        # The kept solve is as the first run left it, and its pivots are still raw.
+        assert instance.initial_lp is kept
+        assert tuple(array.tobytes() for array in kept.final) == (tableau, basis, allowed)
+        assert len(kept.path) == pivots > 0 and kept.path.settled == 0
+        assert all(isinstance(record, tuple) for record in kept.path)
+
+    def test_sweep_solves_the_initial_lp_once(self, builds, monkeypatch):
+        solves = []
+        real = lp_baseline.solve_lp
+
+        def counting(lp):
+            solves.append(len(lp.rows))
+            return real(lp)
+
+        for module in (harness, lp_baseline, combinatorial):
+            monkeypatch.setattr(module, "solve_lp", counting)
+        for method, freq, init in SWEEP_VARIANTS:
+            overrides = dict(SWEEP_GRAPHS["stableset"], method=method, frequency=freq, init=init)
+            run_experiment(load_config(None, dict(overrides, out="")))
+        [instance] = builds
+        # The reference optimum's clique LP, then the LP over the initial rows.
+        assert solves[1:] == [len(instance.initial_rows)]
+
     def test_shared_arrays_are_read_only(self, builds):
         run_experiment(load_config(None, dict(SWEEP_GRAPHS["stableset"], out="")))
         [instance] = builds
         tableau, basis, allowed = instance.initial_lp.final
         for array in (instance.c, instance.lb, instance.ub, instance.initial_rows[0].a,
-                      instance.initial_rows[-1].a, tableau, basis, allowed):
+                      instance.initial_rows[-1].a, instance.initial_lp.x, tableau, basis,
+                      allowed):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
 

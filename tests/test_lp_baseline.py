@@ -6,9 +6,12 @@ import pytest
 from oracleopt import harness, lp_baseline
 from oracleopt.combinatorial import (
     MatchingOracle,
+    StableSetOracle,
     brute_force_matching_opt,
     generate_triangle_instance,
     matching_initial_rows,
+    random_gnp,
+    stableset_initial_rows,
 )
 from oracleopt.corrective import fully_corrective, segment_only
 from oracleopt.lp_baseline import (
@@ -21,6 +24,7 @@ from oracleopt.lp_baseline import (
     solve_lp,
 )
 from oracleopt.oracle import BallOracle, Constraint
+from oracleopt.solver_general import run_general
 from oracleopt.solver_polar import PolarMode, run_polar
 
 _PIVOT_TOL = lp_baseline._PIVOT_TOL
@@ -518,6 +522,55 @@ class TestCutLoop:
         oracle = BallOracle(np.zeros(2), 1.0)
         with pytest.raises(UnboundedLPError, match="add bounds"):
             cut_loop(oracle, np.ones(2), [], lb=np.full(2, -np.inf), max_iters=5)
+
+    def test_cap_of_zero_separates_nothing_like_the_solvers(self, monkeypatch):
+        graph = random_gnp(12, 0.5, 0)
+        rows = stableset_initial_rows(graph, "basic")
+        c, bounds = np.ones(12), dict(lb=np.zeros(12), ub=np.ones(12))
+        calls = []
+        real = StableSetOracle.separate
+        monkeypatch.setattr(StableSetOracle, "separate", lambda *a: calls.append(1) or real(*a))
+        loop = cut_loop(StableSetOracle(graph), c, rows, max_iters=0, **bounds)
+        polar = run_polar(
+            StableSetOracle(graph), c, gamma1=1.0, mode=PolarMode.PACKING, max_iters=0,
+            initial_constraints=rows,
+        )
+        general = run_general(StableSetOracle(graph), c, max_iters=0, initial_constraints=rows)
+        assert calls == []
+        assert len(loop.trace) == len(polar.trace) == len(general.trace) == 0
+        assert loop.cuts == polar.state.cuts == general.state.cuts == []
+        assert not (loop.converged or polar.converged or general.converged)
+        # The loop still reports its initial LP; a cap of 1 makes one cut from it.
+        initial = solve_lp(LinearProgram(c, rows, **bounds))
+        assert loop.x.tobytes() == initial.x.tobytes() and loop.value == initial.value
+        one = cut_loop(StableSetOracle(graph), c, rows, max_iters=1, **bounds)
+        assert len(one.cuts) == len(one.trace) == len(calls) == 1
+        assert one.x.tobytes() == initial.x.tobytes() and one.value == initial.value
+
+    @pytest.mark.parametrize("fields", [
+        dict(problem="matching", nodes=15, triangles=16, seed=0, max_set_size=15),
+        dict(problem="stableset", nodes=16, density=0.55, seed=3),
+        dict(problem="synthetic-ball", dim=3, center_offset=0.3),
+    ])
+    def test_first_lp_stands_in_for_the_cold_solve(self, fields, monkeypatch):
+        config = harness.load_config(None, dict(fields, out=""))
+        instance = harness.build_instance(config, need_opt=True)
+        stop = LPStop(instance.opt_ref, instance.initial_rows, instance.lb, instance.ub)
+        args = (instance.oracle, instance.c, instance.initial_rows)
+        kwargs = dict(lb=instance.lb, ub=instance.ub, stop=stop, max_iters=30)
+        cold = cut_loop(*args, **kwargs)
+        lp = LinearProgram(instance.c, list(instance.initial_rows), lb=instance.lb, ub=instance.ub)
+        first = solve_lp(lp)
+        path = list(first.path)
+        solves = []
+        monkeypatch.setattr(lp_baseline, "solve_lp", lambda lp: solves.append(lp) or first)
+        for _ in range(2):  # the second loop starts from the same, untouched first LP
+            warm = cut_loop(*args, **kwargs, first=first)
+            assert solves == [] and warm.cuts
+            assert warm.x.tobytes() == cold.x.tobytes() and warm.value == cold.value
+            assert [c.a.tobytes() for c in warm.cuts] == [c.a.tobytes() for c in cold.cuts]
+            assert warm.trace.to_csv() == cold.trace.to_csv()
+            assert list(first.path) == path and first.path.settled == 0
 
 
 class TestLPStopBound:

@@ -21,8 +21,10 @@ from oracleopt.solver_polar import PolarMode, run_polar
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # Trace files committed as recorded before the solvers shared one run loop.
-# The first three are the criterion-10 configurations; the last checks the
-# LP stop bound only on every third iteration.
+# The first three are the criterion-10 configurations; the fourth checks the
+# LP stop bound only on every third iteration.  The last, recorded before the
+# stable-set runs shared their instance's initial LP work, pins the bits of
+# the LP stop's dual warm start and of packing min-norm-point steps.
 GOLDEN = {
     "matching_polar_fc1.csv": {
         "problem": "matching", "method": "polar", "frequency": 1, "nodes": 14,
@@ -38,6 +40,10 @@ GOLDEN = {
     "matching_polar_lp_every3.csv": {
         "problem": "matching", "method": "polar", "frequency": 0, "nodes": 15,
         "triangles": 11, "seed": 1, "max_set_size": 15, "lp_check_every": 3,
+    },
+    "stableset_polar_fc1.csv": {
+        "problem": "stableset", "method": "polar", "frequency": 1, "nodes": 16,
+        "density": 0.55, "seed": 0, "stop": "lp1pct",
     },
 }
 
