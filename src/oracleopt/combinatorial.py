@@ -6,8 +6,9 @@ relaxation with one row per clique.  Separation is exact at desk scale:
 odd sets by enumeration up to a size cap inside each connected component
 of the fractional support (the oracle keeps the tables of its previous
 call's components, which later calls often repeat), cliques by a weighted
-branch-and-bound with a greedy-coloring bound.  Brute-force optima back
-the shared 1%-of-optimum stopping rule.
+branch-and-bound with a greedy-coloring bound.  Both oracles keep their
+last answers by query point.  Brute-force optima back the shared
+1%-of-optimum stopping rule.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ log = logging.getLogger(__name__)
 _SUPPORT_TOL = 1e-9
 _BLOCK_ENTRIES = 1 << 22  # entries of a kept, shared or streamed odd-set table (4 MB bool)
 _CHUNK_ENTRIES = 1 << 15  # float entries scored by one product (256 kB, stays in cache)
+_ANSWERS = 256  # separation answers an oracle keeps, by query point
 _MATCHING_BRUTE_CAP = 24
 _CLIQUE_BRUTE_CAP = 30
 
@@ -542,7 +544,26 @@ def separate_nonneg(x: np.ndarray) -> Violated | None:
     return Violated(cons, cons.violation(x))
 
 
-class MatchingOracle(SeparationOracle):
+class _RecallingOracle(SeparationOracle):
+    """An exact oracle that keeps its last `_ANSWERS` answers by query point:
+    the variants run on one instance ask many of the same points."""
+
+    def __init__(self):
+        self._answers: dict[bytes, SeparationResult] = {}
+
+    def _recall(self, x: np.ndarray, answer) -> SeparationResult:
+        """The kept answer at x, else answer(x), kept."""
+        key = x.tobytes()
+        if key not in self._answers:
+            if len(self._answers) >= _ANSWERS:
+                del self._answers[next(iter(self._answers))]  # the oldest
+            kept = self._answers[key] = answer(x)
+            if isinstance(kept, Violated):
+                kept.constraint.a.flags.writeable = False  # every asker gets this row
+        return self._answers[key]
+
+
+class MatchingOracle(_RecallingOracle):
     """Separation for the matching polytope: degree rows and odd sets.
 
     Returns the row with the biggest absolute violation; degree rows win
@@ -554,6 +575,7 @@ class MatchingOracle(SeparationOracle):
     def __init__(self, graph: Graph, max_set_size: int = 9):
         if max_set_size < 3:
             raise ValueError("odd sets start at size 3")
+        super().__init__()
         self.graph = graph
         self.max_set_size = max_set_size
         self.dimension = graph.n_edges
@@ -564,7 +586,9 @@ class MatchingOracle(SeparationOracle):
         self._oddset_tables: dict = {}
 
     def separate(self, x) -> SeparationResult:
-        x = as_vector(x)
+        return self._recall(as_vector(x), self._separate)
+
+    def _separate(self, x: np.ndarray) -> SeparationResult:
         outside = separate_nonneg(x)
         if outside is not None:
             return outside
@@ -593,15 +617,17 @@ class MatchingOracle(SeparationOracle):
         return Inside()
 
 
-class StableSetOracle(SeparationOracle):
+class StableSetOracle(_RecallingOracle):
     """Separation for the clique relaxation via exact max-weight clique."""
 
     def __init__(self, graph: Graph):
+        super().__init__()
         self.graph = graph
         self.dimension = graph.n_nodes
         self.radius_outer = float(np.sqrt(graph.n_nodes))
         self.radius_inner = 1.0 / float(np.sqrt(graph.n_nodes))
 
     def separate(self, x) -> SeparationResult:
-        x = as_vector(x)
-        return separate_nonneg(x) or separate_clique(self.graph, x)
+        return self._recall(
+            as_vector(x), lambda x: separate_nonneg(x) or separate_clique(self.graph, x)
+        )

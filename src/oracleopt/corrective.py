@@ -202,7 +202,8 @@ def min_norm_point(target, atoms, recession_nonneg: bool = False, start=None) ->
 
         yy = float(y @ y)
         if best is None or yy < best[0]:
-            best = (yy, y.copy(), list(active_atoms), w.copy(), list(active_rays), tvals.copy())
+            # y, w and tvals are rebound, never changed in place; the lists grow.
+            best = (yy, y, list(active_atoms), w, list(active_rays), tvals)
         scores = shifted @ y
         enter_atom = int(np.argmin(scores))
         atom_gap = yy - float(scores[enter_atom])

@@ -9,14 +9,16 @@ initial plus separated constraints against the true optimum.
 Consecutive runs on one instance share it: its oracle, reference optimum and
 solved initial LP are built once, and its arrays are read-only.  The LP stop
 rule resumes from that solve's final tableau and the cut loop from its pivot
-path, so no run solves the initial LP again.
+path, so no run solves the initial LP again.  The oracle keeps its answers
+and the LP stop rules share a memo of their states, so a run that repeats
+another's early queries and cuts repeats none of their work.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -154,6 +156,7 @@ class Instance:
     polar_mode: PolarMode
     gamma_standard: float
     initial_lp: Optional[LPResult] = None  # the cold solve of the LP over initial_rows
+    lp_memo: dict = field(default_factory=dict)  # shared by the LP stop rules resumed from it
 
 
 def build_instance(config: ExperimentConfig, need_opt: bool) -> Instance:
@@ -271,6 +274,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
         )
         if config.method != "cutloop":  # the cut loop never asks its stop rule for an LP
             stop.warm.seed(*_initial_lp(instance))
+            stop.warm.memo = instance.lp_memo
     elif stop_kind == "gap":
         stop = GapStop(rel=config.epsilon)
     else:

@@ -20,7 +20,9 @@ each cut loop on it resumes from its own copy of that solve's path.
 The stopping bound needs only the optimal value and gains a few rows per
 iteration, so `LPStop` warm-starts it: the new rows join the previous
 bound's final tableau and a dual simplex reoptimizes, which may move the
-value's last bits.  The reference optimum keeps the cold solve.
+value's last bits.  The reference optimum keeps the cold solve.  Runs on
+one instance can share a memo of these states, so a run that appends the
+rows another run appended adopts its state, bit for bit.
 """
 
 from __future__ import annotations
@@ -390,21 +392,40 @@ def _dual_iterate(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -
         _pivot(tableau, row, cols[(costs[cols] / -entries[cols]).argmin()], basis)
 
 
+# The LP-stop memo keeps the states at most this many rows past the seeded
+# LP, within this many tableau bytes.  Variants of a sweep share their early
+# cuts: on G(16, 0.55), 157 of 184 repeated states were at most 5 rows deep,
+# while the first run's own states reach 16.
+_MEMO_DEPTH = 6
+_MEMO_BYTES = 2 << 20
+
+
 @dataclass
 class _WarmStart:
     """The last LP-stop solve: its rows, copies of its objective and bounds,
-    its final tableau and its value."""
+    its final tableau and its value.
+
+    `memo`, if set, is shared by the warm starts seeded from one LP.  Each
+    state there has an id, `node` (0 after `seed`), and the memo maps a
+    node and the rows appended to it to the state they lead to.  A state
+    depends only on the rows that built it, so a run that appends rows
+    another run appended before adopts that run's state without a pivot.
+    """
 
     rows: list = field(default_factory=list)
     fixed: tuple = ()
     final: tuple | None = None
     value: float = np.nan
+    memo: dict | None = None
+    node: int = 0
+    depth: int = 0  # rows appended since `seed`
 
     def seed(self, lp: LinearProgram, res: LPResult) -> float:
         """Keep res, the cold solve of lp, to resume from; returns its value."""
         # Copies: the caller may change its arrays.
         self.fixed = tuple(v.copy() for v in (lp.objective, lp.lb, lp.ub))
         self.rows, self.final, self.value = lp.rows, res.final, res.value
+        self.node = self.depth = 0
         return res.value
 
     def solve(self, lp: LinearProgram) -> float:
@@ -415,33 +436,60 @@ class _WarmStart:
             and all(map(operator.is_, self.rows, lp.rows))
             and all(map(np.array_equal, self.fixed, (lp.objective, lp.lb, lp.ub)))
         ):
+            self.memo = None  # no memo node holds a cold solve's state
             return self.seed(lp, solve_lp(lp))
         new = lp.rows[len(self.rows) :]
         if new:
-            # Each new row gets its own slack column (zero reduced cost) and
-            # has the basic columns eliminated, so the basis stays dual feasible.
-            kept, basis, allowed = self.final
-            k, m, width = len(new), len(basis), kept.shape[1] - 1
-            tableau = np.zeros((m + k + 1, width + k + 1))
-            tableau[:m, :width], tableau[:m, -1] = kept[:-1, :-1], kept[:-1, -1]
-            tableau[-1, :width], tableau[-1, -1] = kept[-1, :-1], kept[-1, -1]
-            a = _expand(_stack(new, len(lp.objective)), np.flatnonzero(np.isneginf(lp.lb)))
-            tableau[m:-1, : a.shape[1]] = a
-            np.fill_diagonal(tableau[m:-1, width:-1], 1.0)
-            tableau[m:-1, -1] = [r.b for r in new]
-            for row in tableau[m:-1]:
-                # One kept row after another, in row order, like the phase-2 cost row.
-                coeffs = row[basis]
-                nz = coeffs.nonzero()[0]
-                row[:] = np.subtract.reduce(np.vstack([row, coeffs[nz, None] * tableau[nz]]))
-            basis = np.concatenate([basis, width + np.arange(k)])
-            allowed = np.concatenate([allowed, np.ones(k, dtype=bool)])
-            _dual_iterate(tableau, basis, allowed)
-            _iterate(tableau, basis, allowed)  # reduced costs the dual pivots left below -_COST_TOL
-            self.final = tableau, basis, allowed
-            self.value = _result(lp, self.final).value
+            self.depth += len(new)
+            key = hit = None
+            if self.memo is not None:
+                key = self.node, tuple((r.b.hex(), r.a.tobytes()) for r in new)
+                hit = self.memo.get(key)
+            if hit:
+                self.node, self.final, self.value = hit
+            else:
+                self.final = _append_rows(self.final, new, lp)
+                self.value = _result(lp, self.final).value
+                if key:
+                    self._remember(key)
         self.rows = lp.rows
         return self.value
+
+    def _remember(self, key: tuple) -> None:
+        """Store the state just reached under key; past the budget, detach."""
+        stored = sum(final[0].nbytes for _, final, _ in self.memo.values())
+        if self.depth > _MEMO_DEPTH or stored + self.final[0].nbytes > _MEMO_BYTES:
+            self.memo = None  # later states have no stored parent
+            return
+        for array in self.final:  # shared from now on; `_append_rows` copies
+            array.flags.writeable = False
+        self.node = len(self.memo) + 1
+        self.memo[key] = self.node, self.final, self.value
+
+
+def _append_rows(final: tuple, new: list, lp: LinearProgram) -> tuple:
+    """The final tableau of lp, from `final`, that of lp without its `new` rows."""
+    # Each new row gets its own slack column (zero reduced cost) and has the
+    # basic columns eliminated, so the basis stays dual feasible.
+    kept, basis, allowed = final
+    k, m, width = len(new), len(basis), kept.shape[1] - 1
+    tableau = np.zeros((m + k + 1, width + k + 1))
+    tableau[:m, :width], tableau[:m, -1] = kept[:-1, :-1], kept[:-1, -1]
+    tableau[-1, :width], tableau[-1, -1] = kept[-1, :-1], kept[-1, -1]
+    a = _expand(_stack(new, len(lp.objective)), np.flatnonzero(np.isneginf(lp.lb)))
+    tableau[m:-1, : a.shape[1]] = a
+    np.fill_diagonal(tableau[m:-1, width:-1], 1.0)
+    tableau[m:-1, -1] = [r.b for r in new]
+    for row in tableau[m:-1]:
+        # One kept row after another, in row order, like the phase-2 cost row.
+        coeffs = row[basis]
+        nz = coeffs.nonzero()[0]
+        row[:] = np.subtract.reduce(np.vstack([row, coeffs[nz, None] * tableau[nz]]))
+    basis = np.concatenate([basis, width + np.arange(k)])
+    allowed = np.concatenate([allowed, np.ones(k, dtype=bool)])
+    _dual_iterate(tableau, basis, allowed)
+    _iterate(tableau, basis, allowed)  # reduced costs the dual pivots left below -_COST_TOL
+    return tableau, basis, allowed
 
 
 @dataclass(eq=False)
@@ -450,7 +498,11 @@ class LPStop(StopRule):
     the reference optimum: the criterion shared by every method.
 
     Holds that LP's fixed pieces (initial rows and bounds) and the last
-    bound's final tableau, from which the next evaluation resumes.
+    bound's final tableau, from which the next evaluation resumes.  The
+    harness seeds `warm` with its instance's solved initial LP and hands it
+    the instance's memo: the states within `_MEMO_DEPTH` rows of that LP,
+    up to `_MEMO_BYTES` of tableaux, which every LP-stopped run on the
+    instance reads and extends.
     """
 
     opt_ref: float
@@ -485,8 +537,10 @@ def lp_stop_bound(initial_constraints, separated, c, lb=None, ub=None, warm=None
     This is the quantity all methods share for the 1%-of-optimum stopping
     test.  When the rows extend those of `warm`'s last call (the same
     Constraint objects, in order), the new ones are appended to its final
-    tableau and reoptimized; otherwise, and without `warm`, the LP is solved
-    from scratch.
+    tableau and reoptimized, or, when `warm`'s memo holds the state those
+    rows lead to (the same values, appended in the same batches), that
+    state is taken without a pivot; otherwise, and without `warm`, the LP
+    is solved from scratch, and `warm` leaves its memo.
     """
     lp = LinearProgram(
         objective=as_vector(c),

@@ -64,10 +64,16 @@ class PolarState:
     oracle_calls: int = 0
     incumbent: Optional[np.ndarray] = None
     cuts: list[Constraint] = field(default_factory=list)
+    _residual: tuple = field(default=(None, None, 0.0), init=False, repr=False)
 
     @property
     def residual(self) -> float:
-        return float(np.linalg.norm(self.target - self.aggregate))
+        """||f - q||, computed once per pair of arrays: both are rebound, never changed."""
+        target, aggregate, value = self._residual
+        if target is not self.target or aggregate is not self.aggregate:
+            value = float(np.linalg.norm(self.target - self.aggregate))
+            self._residual = self.target, self.aggregate, value
+        return value
 
 
 @dataclass

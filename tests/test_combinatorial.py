@@ -340,15 +340,16 @@ class TestOddsetSeparation:
         if block_rows is not None:
             monkeypatch.setattr(combinatorial, "_BLOCK_ENTRIES", block_rows * g.n_edges)
         original = combinatorial.best_violated_oddset
+        oracle = MatchingOracle(g, max_set_size=5)
         calls = []
 
         def recording(graph, x, max_set_size=9, tables=None):
             result = original(graph, x, max_set_size, tables)
-            calls.append((np.array(x), result))
+            if tables is oracle._oddset_tables:
+                calls.append((np.array(x), result))
             return result
 
         monkeypatch.setattr(combinatorial, "best_violated_oddset", recording)
-        oracle = MatchingOracle(g, max_set_size=5)
         queries = bridged_k5_queries(np.random.default_rng(3))
         for x in queries:
             got = oracle.separate(x)
@@ -358,12 +359,13 @@ class TestOddsetSeparation:
                 assert got.constraint.name == expected.constraint.name
                 assert np.array_equal(got.constraint.a, expected.constraint.a)
                 assert got.violation == expected.violation
-        assert len(calls) == 2 * len(queries)
-        for x, (viol, subset) in calls[::2]:
+        # The repeated query is answered from the oracle's kept answers.
+        assert len(calls) == len(queries) - 1
+        for x, (viol, subset) in calls:
             fresh_viol, fresh_subset = original(g, x, 5)
             assert viol == fresh_viol
             assert subset == fresh_subset
-        assert sum(subset is not None for _, (_, subset) in calls[::2]) >= len(queries) - 2
+        assert sum(subset is not None for _, (_, subset) in calls) >= len(calls) - 2
 
     def test_oracle_keeps_only_this_calls_fitting_components(self, monkeypatch):
         # 20 rows per kept component: the triangle (4 padded rows) and a
@@ -603,6 +605,69 @@ class TestOracles:
             assert res.constraint.b == 0.0
             assert res.violation == pytest.approx(1.0)
             assert isinstance(oracle.separate([-1e-8, 0.0, 0.0]), Inside)
+
+    @staticmethod
+    def same_answer(got, expected):
+        assert type(got) is type(expected)
+        if isinstance(expected, Violated):
+            assert got.constraint.name == expected.constraint.name
+            assert got.constraint.a.tobytes() == expected.constraint.a.tobytes()
+            assert got.constraint.b == expected.constraint.b
+            assert float(got.violation).hex() == float(expected.violation).hex()
+
+    @pytest.mark.parametrize("problem", ["matching", "stableset"])
+    def test_repeated_point_returns_the_kept_answer(self, problem, monkeypatch):
+        if problem == "matching":
+            make = lambda: MatchingOracle(BRIDGED_K5S, max_set_size=5)  # noqa: E731
+            points = bridged_k5_queries(np.random.default_rng(5))
+            work = "best_violated_oddset"
+        else:
+            g = random_gnp(12, 0.5, seed=2)
+            make = lambda: StableSetOracle(g)  # noqa: E731
+            rng = np.random.default_rng(5)
+            points = [rng.uniform(0.0, 0.6, 12) for _ in range(6)] + [np.zeros(12)]
+            work = "separate_clique"
+        queries = points + points[::-1] + [p.copy() for p in points]
+        calls = []
+        real = getattr(combinatorial, work)
+        monkeypatch.setattr(combinatorial, work, lambda *a: calls.append(1) or real(*a))
+        oracle = make()
+        first = {}
+        for x in queries:
+            got = oracle.separate(x)
+            assert first.setdefault(x.tobytes(), got) is got
+        assert len(calls) == len(first) < len(queries)  # worked out once per point
+        for x in queries:
+            self.same_answer(oracle.separate(x), make().separate(x))
+        for answer in first.values():
+            if isinstance(answer, Violated):
+                assert not answer.constraint.a.flags.writeable
+
+    def test_answers_stay_within_their_bound(self, monkeypatch):
+        monkeypatch.setattr(combinatorial, "_ANSWERS", 3)
+        g = random_gnp(10, 0.5, seed=4)
+        oracle = StableSetOracle(g)
+        rng = np.random.default_rng(9)
+        points = [rng.uniform(0.0, 0.7, 10) for _ in range(10)]
+        for k, x in enumerate(points):
+            oracle.separate(x)
+            assert list(oracle._answers) == [p.tobytes() for p in points[max(0, k - 2) : k + 1]]
+        for x in points:  # a dropped point is answered afresh, the same way
+            self.same_answer(oracle.separate(x), StableSetOracle(g).separate(x))
+            assert len(oracle._answers) == 3
+
+    def test_binding_cap_warns_once_when_its_answer_was_dropped(self, caplog, monkeypatch):
+        # With one kept answer, the inside verdict at C5's 1/2 point is
+        # worked out again after each other query; it still warns once.
+        monkeypatch.setattr(combinatorial, "_ANSWERS", 1)
+        c5 = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        caplog.set_level("WARNING", logger="oracleopt.combinatorial")
+        oracle = MatchingOracle(c5, max_set_size=3)
+        for _ in range(3):
+            assert isinstance(oracle.separate([0.5] * 5), Inside)
+            assert isinstance(oracle.separate([0.2] * 5), Inside)
+        warned = [r for r in caplog.records if "cap 3 was binding" in r.getMessage()]
+        assert len(warned) == 1
 
     def test_initial_row_presets(self):
         g = K3

@@ -158,6 +158,25 @@ class TestMinNormPoint:
         assert np.array_equal(warm.weights, cold.weights)
         assert np.array_equal(warm.slack, cold.slack)
 
+    @pytest.mark.parametrize("recession", [False, True])
+    def test_cycle_safeguard_returns_the_best_iterate(self, recession, monkeypatch):
+        # A negative tolerance never converges: every call runs to its cap and
+        # returns the best iterate, whose weights (and slack) still give its point.
+        rng = np.random.default_rng(73)
+        for _ in range(5):
+            atoms = rng.normal(size=(8, 3))
+            target = rng.normal(size=3)
+            converged = min_norm_point(target, atoms, recession_nonneg=recession)
+            monkeypatch.setattr(corrective, "_OPT_TOL", -1.0)
+            with pytest.warns(UserWarning, match="cycle safeguard"):
+                capped = min_norm_point(target, atoms, recession_nonneg=recession)
+            monkeypatch.undo()
+            assert not capped.converged
+            slack = capped.slack if recession else 0.0
+            assert np.allclose(capped.weights @ atoms - slack, capped.point, atol=1e-9)
+            assert capped.weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(capped.point - converged.point) <= 1e-9
+
 
 def scalar_step_back(old, new):
     """The scalar fold that `corrective._step_back` replaced, kept as its

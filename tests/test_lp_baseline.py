@@ -725,6 +725,151 @@ class TestWarmStartedLPStopBound:
             assert run(shared, strategy) == run(stop(), strategy)
 
 
+# The polar variants of the criterion-8 sweep: (corrective frequency, init).
+POLAR_VARIANTS = [(0, "standard"), (0, "optimal"), (1, "standard"), (1, "optimal"),
+                  (10, "standard"), (10, "optimal")]
+
+
+def recorded_lp_stops(monkeypatch, every, **fields):
+    """Each polar variant's LP-stop calls on one shared instance, run by run,
+    as (c, separated) per call."""
+    harness._shared_instance.cache_clear()
+    runs = {}
+    real = LPStop.lp_value
+
+    def recording(self, c, separated):
+        runs.setdefault(self, []).append((c, list(separated)))
+        return real(self, c, separated)
+
+    monkeypatch.setattr(LPStop, "lp_value", recording)
+    for freq, init in POLAR_VARIANTS:
+        config = dict(fields, out="", method="polar", frequency=freq, init=init,
+                      lp_check_every=every)
+        harness.run_experiment(harness.load_config(None, config))
+    monkeypatch.setattr(LPStop, "lp_value", real)
+    return list(runs.values())
+
+
+def replay(runs, seeded, memo):
+    """The LP-stop values of the recorded runs as hex strings, each run
+    seeded from `seeded` (an LP and its cold solve), all sharing `memo`."""
+    values = []
+    for calls in runs:
+        warm = lp_baseline._WarmStart()
+        warm.seed(*seeded)
+        warm.memo = memo
+        values.append([warm.solve(LinearProgram(c, seeded[0].rows + separated,
+                                                lb=seeded[0].lb, ub=seeded[0].ub)).hex()
+                       for c, separated in calls])
+    return values
+
+
+def seeded_lp(problem, **fields):
+    """The LP over an instance's initial rows and its read-only cold solve."""
+    config = harness.load_config(None, dict(fields, problem=problem, out=""))
+    instance = harness.build_instance(config, need_opt=False)
+    lp = LinearProgram(instance.c, list(instance.initial_rows), lb=instance.lb, ub=instance.ub)
+    res = solve_lp(lp)
+    for array in res.final:
+        array.flags.writeable = False
+    return lp, res
+
+
+class TestLPStopMemo:
+    @pytest.mark.parametrize("every", [1, 3])
+    @pytest.mark.parametrize(
+        "problem, fields",
+        [("stableset", dict(nodes=16, density=0.55, seed=3)),
+         ("matching", dict(nodes=15, triangles=16, seed=0, max_set_size=15))],
+    )
+    def test_memo_on_and_off_give_the_same_values(self, problem, fields, every, monkeypatch):
+        runs = recorded_lp_stops(monkeypatch, every, problem=problem, **fields)
+        assert len(runs) == len(POLAR_VARIANTS)
+        seeded = seeded_lp(problem, **fields)
+        appended = []
+        real_append = lp_baseline._append_rows
+        monkeypatch.setattr(
+            lp_baseline, "_append_rows", lambda *args: appended.append(1) or real_append(*args)
+        )
+        off = replay(runs, seeded, None)
+        misses_off = len(appended)
+        memo = {}
+        on = replay(runs, seeded, memo)
+        assert on == off
+        assert 0 < len(appended) - misses_off < misses_off  # the memo saved some solves
+        for node, final, value in memo.values():
+            assert not any(array.flags.writeable for array in final)
+            depth = final[0].shape[0] - seeded[1].final[0].shape[0]
+            assert 0 < depth <= lp_baseline._MEMO_DEPTH
+        assert sorted(node for node, _, _ in memo.values()) == list(range(1, len(memo) + 1))
+        # A second pass over the same runs finds every stored state.
+        appended.clear()
+        assert replay(runs, seeded, memo) == off
+        assert len(appended) < misses_off
+
+    def test_stored_arrays_are_read_only(self):
+        lp, res = seeded_lp("stableset", nodes=10, density=0.5, seed=1)
+        warm = lp_baseline._WarmStart()
+        warm.seed(lp, res)
+        warm.memo = {}
+        cut = Constraint(np.ones(len(lp.objective)), 1.0)
+        warm.solve(LinearProgram(lp.objective, lp.rows + [cut], lb=lp.lb, ub=lp.ub))
+        [(node, final, value)] = warm.memo.values()
+        assert (warm.node, warm.final, warm.value) == (node, final, value)
+        for array in final:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    @pytest.mark.parametrize("change", ["objective", "fewer_rows"])
+    def test_cold_fallback_detaches_from_the_memo(self, change):
+        lp, res = seeded_lp("stableset", nodes=10, density=0.5, seed=1)
+        n = len(lp.objective)
+        cuts = [Constraint(np.ones(n), 1.0), Constraint(np.eye(n)[0] + np.eye(n)[1], 0.75)]
+        memo = {}
+        warm = lp_baseline._WarmStart()
+        warm.seed(lp, res)
+        warm.memo = memo
+        c = lp.objective
+        warm.solve(LinearProgram(c, lp.rows + cuts, lb=lp.lb, ub=lp.ub))
+        assert len(memo) == 1 and warm.node == 1
+        rows = lp.rows + cuts[:1] if change == "fewer_rows" else lp.rows + cuts
+        if change == "objective":
+            c = np.arange(1.0, n + 1)
+        fresh = solve_lp(LinearProgram(c, rows, lb=lp.lb, ub=lp.ub)).value
+        assert warm.solve(LinearProgram(c, rows, lb=lp.lb, ub=lp.ub)) == fresh
+        assert warm.memo is None and warm.node == 0
+        more = rows + [Constraint(np.eye(n)[2], 0.5)]
+        fresh = solve_lp(LinearProgram(c, more, lb=lp.lb, ub=lp.ub)).value
+        assert warm.solve(LinearProgram(c, more, lb=lp.lb, ub=lp.ub)) == fresh
+        assert len(memo) == 1
+
+    def test_memo_stays_within_its_budget(self, monkeypatch):
+        # On G(22, 0.55) the sweep's shallow states outgrow the byte budget.
+        fields = dict(problem="stableset", nodes=22, density=0.55, seed=0, out="")
+        sizes, default = {}, lp_baseline._MEMO_BYTES
+        for budget in (default, 1 << 40):
+            monkeypatch.setattr(lp_baseline, "_MEMO_BYTES", budget)
+            harness._shared_instance.cache_clear()
+            values = []
+            real = LPStop.lp_value
+            monkeypatch.setattr(
+                LPStop, "lp_value", lambda *args: values.append(real(*args)) or values[-1]
+            )
+            for freq, init in POLAR_VARIANTS:
+                config = dict(fields, method="polar", frequency=freq, init=init)
+                harness.run_experiment(harness.load_config(None, config))
+            monkeypatch.setattr(LPStop, "lp_value", real)
+            key = tuple(getattr(harness.load_config(None, fields), name)
+                        for name in harness._INSTANCE_FIELDS) + (None,)
+            memo = harness._shared_instance(key, True).lp_memo
+            root = harness._shared_instance(key, True).initial_lp.final[0].shape[0]
+            assert all(f[0].shape[0] - root <= lp_baseline._MEMO_DEPTH for _, f, _ in memo.values())
+            sizes[budget] = sum(f[0].nbytes for _, f, _ in memo.values()), values
+        (kept, values), (unbounded, unbounded_values) = sizes.values()
+        assert kept <= default < unbounded
+        assert [v.hex() for v in values] == [v.hex() for v in unbounded_values]
+
+
 
 def path_steps(path):
     """What a pivot path decides, step by step: the pivot and the ratio test."""

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -122,6 +123,33 @@ class TestPolarStep:
         assert kind.value == "shrink"
         assert state.gamma == 1.0
         assert np.linalg.norm(state.aggregate) < 2.0
+
+
+class TestResidual:
+    def test_follows_rebound_arrays(self):
+        state = make_state(1.0, [2.0, 0.0], [0.0, 1.0])
+        assert state.residual == float(np.linalg.norm([2.0, -1.0]))
+        state.aggregate = np.array([2.0, 0.0])
+        assert state.residual == 0.0
+        state.target = np.array([0.0, 3.0])
+        assert state.residual == float(np.linalg.norm([-2.0, 3.0]))
+
+    @pytest.mark.parametrize("strategy", [segment_only(), fully_corrective(1)])
+    def test_evaluated_once_per_step(self, strategy, monkeypatch):
+        # Once for the starting state, then once for each state a step leaves.
+        evaluations = []
+        real = np.linalg.norm
+
+        def norm(*args, **kwargs):
+            evaluations.append(sys._getframe(1).f_code.co_name == "residual")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", norm)
+        oracle = box_oracle(np.zeros(3), np.ones(3), radius_inner=1.0)
+        res = run_polar(oracle, np.ones(3), gamma1=1.0, stop=GapStop(1e-3), max_iters=200,
+                        strategy=strategy, mode=PolarMode.PACKING)
+        assert res.iterations > 10
+        assert sum(evaluations) == res.iterations + 1
 
 
 class TestDualBound:
