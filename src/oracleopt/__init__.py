@@ -13,12 +13,10 @@ from .corrective import (
     UpdateStrategy,
     fully_corrective,
     min_norm_point,
-    nonneg_corrective_update,
     partially_corrective,
     segment_only,
-    segment_plus_nonneg,
 )
-from .geometry import min_piecewise_quadratic_on_segment, project_point_to_segment
+from .geometry import project_point_to_segment
 from .lp_baseline import (
     InfeasibleLPError,
     LinearProgram,

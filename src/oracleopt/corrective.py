@@ -3,11 +3,11 @@
 The default solver update projects onto a two-point segment.  The
 strategies here trade more work per iteration for faster convergence:
 full or partial projection onto the convex hull of all known constraints
-(a min-norm-point computation) and an orthant-aware segment update for
-packing problems.  Every strategy keeps the segment update's distance
-guarantee: its output is never farther from the target than the plain
-projection.  AtomSet stores the rows both solvers combine and the matrix
-of their vectors that corrective steps and certificates read.
+(a min-norm-point computation).  Every strategy keeps the segment
+update's distance guarantee: its output is never farther from the target
+than the plain projection.  AtomSet stores the rows both solvers combine
+and the matrix of their vectors that corrective steps and certificates
+read.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import as_vector, min_piecewise_quadratic_on_segment
+from .geometry import as_vector
 from .oracle import Constraint
 
 _OPT_TOL = 1e-10
@@ -28,7 +28,6 @@ class StrategyKind(Enum):
     SEGMENT_ONLY = "segment"
     FULLY_CORRECTIVE = "fully_corrective"
     PARTIALLY_CORRECTIVE = "partially_corrective"
-    SEGMENT_PLUS_NONNEG = "segment_nonneg"
 
 
 @dataclass
@@ -48,9 +47,7 @@ class UpdateStrategy:
             raise ValueError("corrective frequency must be >= 1")
 
     def corrective_due(self, t: int) -> bool:
-        if self.kind in (StrategyKind.FULLY_CORRECTIVE, StrategyKind.PARTIALLY_CORRECTIVE):
-            return t % self.frequency == 0
-        return False
+        return self.kind is not StrategyKind.SEGMENT_ONLY and t % self.frequency == 0
 
 
 def segment_only() -> UpdateStrategy:
@@ -63,10 +60,6 @@ def fully_corrective(k: int = 1) -> UpdateStrategy:
 
 def partially_corrective(k: int = 1) -> UpdateStrategy:
     return UpdateStrategy(StrategyKind.PARTIALLY_CORRECTIVE, frequency=k)
-
-
-def segment_plus_nonneg() -> UpdateStrategy:
-    return UpdateStrategy(StrategyKind.SEGMENT_PLUS_NONNEG)
 
 
 class AtomSet:
@@ -320,16 +313,3 @@ def partially_corrective_update(
     full = np.zeros(len(atoms))
     full[support] = res.weights
     return MinNormResult(point=res.point, weights=full, slack=res.slack, converged=res.converged)
-
-
-def nonneg_corrective_update(f_next, q_t, v) -> tuple[np.ndarray, float]:
-    """Orthant-aware segment update for packing problems.
-
-    Minimizes the distance from f_next to q - R^n_+ over q in [q_t, v] and
-    returns the clipped point min(f_next, q*) together with the segment
-    coefficient.  At least as good as projecting onto the segment first and
-    clipping afterwards, since that candidate is in the feasible set here.
-    """
-    f_next = as_vector(f_next)
-    q_star, lam = min_piecewise_quadratic_on_segment(f_next, q_t, v)
-    return np.minimum(f_next, q_star), lam

@@ -226,8 +226,7 @@ def run_general(
         raise ValueError("objective must be nonzero")
     R = float(oracle.radius_outer if R is None else R)
     strategy = strategy or corr.segment_only()
-    kinds = (corr.StrategyKind.SEGMENT_ONLY, corr.StrategyKind.FULLY_CORRECTIVE)
-    if strategy.kind not in kinds:
+    if strategy.kind is corr.StrategyKind.PARTIALLY_CORRECTIVE:
         raise ValueError("the general solver takes segment or fully corrective updates only")
     stop = stop or CapOnly()
 

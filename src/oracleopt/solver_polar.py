@@ -200,19 +200,8 @@ def _update_aggregate(state: PolarState, anchor: int, strategy: corr.UpdateStrat
         seg_result = np.minimum(f, seg_point)
     else:
         seg_result = seg_point
-    seg_dist = float(np.linalg.norm(f - seg_result))
 
-    if strategy.kind is corr.StrategyKind.SEGMENT_PLUS_NONNEG:
-        if not packing:
-            raise ValueError("the nonnegativity-aware update requires packing mode")
-        q_new, seg_lam = corr.nonneg_corrective_update(f, state.aggregate, anchor_vec)
-        if float(np.linalg.norm(f - q_new)) <= seg_dist + 1e-9:
-            state.weights = (1.0 - seg_lam) * state.weights
-            state.weights[anchor] += seg_lam
-            state.shadow = (1.0 - seg_lam) * state.shadow + seg_lam * anchor_vec
-            state.aggregate = q_new
-            return
-    elif strategy.corrective_due(state.t):
+    if strategy.corrective_due(state.t):
         matrix = state.atoms.matrix
         if strategy.kind is corr.StrategyKind.PARTIALLY_CORRECTIVE:
             res = corr.partially_corrective_update(
@@ -222,7 +211,7 @@ def _update_aggregate(state: PolarState, anchor: int, strategy: corr.UpdateStrat
             res = corr.min_norm_point(f, matrix, recession_nonneg=packing, start=seg_weights)
         cand_point = np.minimum(f, res.point) if packing else res.point
         cand_dist = float(np.linalg.norm(f - cand_point))
-        if cand_dist <= seg_dist + 1e-9:
+        if cand_dist <= float(np.linalg.norm(f - seg_result)) + 1e-9:
             state.aggregate = cand_point
             state.weights = res.weights
             if packing:

@@ -24,7 +24,7 @@ from oracleopt.combinatorial import (
     max_weight_clique,
     random_gnp,
 )
-from oracleopt.corrective import fully_corrective, min_norm_point, segment_plus_nonneg
+from oracleopt.corrective import fully_corrective, min_norm_point
 from oracleopt.harness import load_config, run_experiment
 from oracleopt.lp_baseline import LinearProgram, LPStop, solve_lp
 from oracleopt.oracle import VIOLATION_TOL, BallOracle, Constraint, PolytopeOracle, box_oracle
@@ -83,13 +83,13 @@ def test_criterion_2_per_iteration_contractions():
             (box_oracle(-np.ones(12), np.ones(12), radius_inner=1.0), rng.normal(size=12), 1.0, fully_corrective(3), STANDARD),
             (box_oracle(np.zeros(4), np.ones(4), radius_inner=1.0), rng.uniform(0.2, 1.0, size=4), 1.0, fully_corrective(1), PACKING),
             (box_oracle(np.zeros(10), np.ones(10), radius_inner=1.0), rng.uniform(0.2, 1.0, size=10), 1.0, fully_corrective(5), PACKING),
-            (box_oracle(np.zeros(6), np.ones(6), radius_inner=1.0), rng.uniform(0.2, 1.0, size=6), 1.0, segment_plus_nonneg(), PACKING),
+            (box_oracle(np.zeros(6), np.ones(6), radius_inner=1.0), rng.uniform(0.2, 1.0, size=6), 1.0, None, PACKING),
         ]
         graph = generate_triangle_instance(12, 4, seed=2)
         d = graph.n_edges
         r_graph = 1.0 / math.sqrt(d)
         polar_runs.append((MatchingOracle(graph, max_set_size=11), np.ones(d), r_graph, fully_corrective(1), PACKING))
-        polar_runs.append((MatchingOracle(graph, max_set_size=11), np.ones(d), r_graph, segment_plus_nonneg(), PACKING))
+        polar_runs.append((MatchingOracle(graph, max_set_size=11), np.ones(d), r_graph, None, PACKING))
         assert len(polar_runs) == 10
 
         for oracle, c, r, strat, mode in polar_runs:

@@ -11,7 +11,6 @@ from oracleopt.corrective import (
     UpdateStrategy,
     fully_corrective,
     min_norm_point,
-    nonneg_corrective_update,
     partially_corrective,
     partially_corrective_update,
 )
@@ -404,9 +403,8 @@ class TestAffineSolveParity:
         lambda: partially_corrective(k=0),
         lambda: fully_corrective(0),
         lambda: UpdateStrategy(StrategyKind.SEGMENT_ONLY, frequency=0),
-        lambda: UpdateStrategy(StrategyKind.SEGMENT_PLUS_NONNEG, frequency=-1),
     ],
-    ids=["partially_corrective", "fully_corrective", "segment", "segment_nonneg"],
+    ids=["partially_corrective", "fully_corrective", "segment"],
 )
 def test_frequency_below_one_rejected(make):
     with pytest.raises(ValueError, match="frequency"):
@@ -464,50 +462,6 @@ class TestCorrectiveUpdates:
         d_cap = np.linalg.norm(f - capped.point)
         d_full = np.linalg.norm(f - full.point)
         assert d_full - 1e-9 <= d_cap <= d_seg + 1e-9
-
-
-class TestNonnegCorrectiveUpdate:
-    def test_toward_origin_with_nonneg_aggregate_keeps_start(self):
-        # Moving toward the zero vector cannot help once everything is
-        # componentwise nonnegative: the best scaling is the current point,
-        # clipped at the target.
-        f = np.array([0.5, 2.0, 0.1])
-        q = np.array([1.0, 1.0, 1.0])
-        q_new, lam = nonneg_corrective_update(f, q, np.zeros(3))
-        assert lam == 0.0
-        assert np.allclose(q_new, np.minimum(f, q))
-
-    def test_dominating_aggregate_is_already_free(self):
-        # Once the aggregate dominates the target componentwise the orthant
-        # distance is zero everywhere it stays dominant; the smallest-lambda
-        # tie rule keeps the start of the segment.
-        f = np.array([1.0, 1.0])
-        q = np.array([2.0, 3.0])
-        q_new, lam = nonneg_corrective_update(f, q, np.array([5.0, 4.0]))
-        assert lam == 0.0
-        dist = np.linalg.norm(f - np.minimum(f, q_new))
-        assert dist == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(q_new, f)
-
-    def test_matches_grid_search(self):
-        rng = np.random.default_rng(53)
-        grid = np.linspace(0.0, 1.0, 1_000_001)
-        for _ in range(5):
-            f, q, v = rng.normal(size=(3, 5)) + 0.5
-            q_new, _ = nonneg_corrective_update(f, q, v)
-            got = float(np.linalg.norm(f - q_new))
-            pts = q[None, :] + grid[:, None] * (v - q)[None, :]
-            vals = np.linalg.norm(np.maximum(f[None, :] - pts, 0.0), axis=1)
-            assert got <= float(vals.min()) + 1e-6
-
-    def test_at_least_as_good_as_project_then_clip(self):
-        rng = np.random.default_rng(59)
-        for _ in range(50):
-            f, q, v = rng.normal(size=(3, 4))
-            q_new, _ = nonneg_corrective_update(f, q, v)
-            seg, _ = project_point_to_segment(q, v, f)
-            plain = np.minimum(f, seg)
-            assert np.linalg.norm(f - q_new) <= np.linalg.norm(f - plain) + 1e-9
 
 
 def _random_polytope(n, seed):

@@ -14,7 +14,6 @@ from oracleopt.corrective import (
     fully_corrective,
     partially_corrective,
     segment_only,
-    segment_plus_nonneg,
 )
 from oracleopt.oracle import BallOracle, Constraint, PolytopeOracle
 from oracleopt.solver_general import (
@@ -192,7 +191,7 @@ class TestRunGeneral:
         assert ingested.b == pytest.approx(1.0)
         assert np.linalg.norm(ingested.a) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("strategy", [partially_corrective(), segment_plus_nonneg()])
+    @pytest.mark.parametrize("strategy", [partially_corrective()])
     def test_unsupported_strategies_rejected(self, strategy):
         with pytest.raises(ValueError, match="general solver"):
             run_general(BallOracle([0.0, 0.0], 1.0), [1.0, 0.0], strategy=strategy, max_iters=1)

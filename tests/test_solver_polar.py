@@ -10,7 +10,6 @@ from oracleopt.corrective import (
     fully_corrective,
     partially_corrective,
     segment_only,
-    segment_plus_nonneg,
 )
 from oracleopt.oracle import (
     BallOracle,
@@ -221,7 +220,7 @@ class TestRunPolar:
         for row in rows:
             assert row.residual <= 4 * rho / math.sqrt(row.t) + 1e-9
 
-    @pytest.mark.parametrize("strategy", [segment_only(), fully_corrective(1), segment_plus_nonneg()])
+    @pytest.mark.parametrize("strategy", [segment_only(), fully_corrective(1)])
     def test_packing_queries_stay_nonnegative(self, strategy):
         oracle = box_oracle(np.zeros(3), np.ones(3), radius_inner=1.0)
         calls = []
@@ -249,17 +248,6 @@ class TestRunPolar:
         res = run_polar(oracle, [1.0, 0.0], gamma1=1.0, stop=GapStop(0.01), max_iters=500)
         assert res.gamma >= 1.0 - 1e-9
         assert res.converged
-
-    def test_nonneg_strategy_requires_packing(self):
-        oracle = BallOracle(np.zeros(2), 1.0)
-        with pytest.raises(ValueError):
-            run_polar(
-                oracle,
-                [1.0, 0.0],
-                gamma1=0.5,
-                strategy=segment_plus_nonneg(),
-                max_iters=10,
-            )
 
     def test_fully_corrective_run_on_random_polytope(self):
         # 40 random halfspaces <a, x> <= 1 plus the box [-1, 1]^5: the segment
