@@ -440,19 +440,17 @@ def brute_force_matching_opt(graph: Graph) -> int:
 
 
 def clique_relaxation_opt(graph: Graph) -> float:
-    """Optimal value of the clique relaxation via full clique enumeration."""
+    """Optimal value of the clique relaxation via full clique enumeration.
+
+    The clique rows bound every x_v: an isolated node is the clique (v,).
+    """
     if graph.n_nodes > _CLIQUE_BRUTE_CAP:
         raise ValueError(
             f"instance too large for brute force ({graph.n_nodes} nodes > "
             f"{_CLIQUE_BRUTE_CAP})"
         )
     rows = [clique_constraint(graph, c) for c in enumerate_maximal_cliques(graph)]
-    lp = LinearProgram(
-        objective=np.ones(graph.n_nodes),
-        rows=rows,
-        ub=np.ones(graph.n_nodes),
-    )
-    return solve_lp(lp).value
+    return solve_lp(LinearProgram(np.ones(graph.n_nodes), rows)).value
 
 
 # -- oracles and instance presets -------------------------------------------

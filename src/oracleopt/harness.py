@@ -145,13 +145,12 @@ class ExperimentSummary:
 
 @dataclass
 class Instance:
-    """Everything a run needs: oracle, objective, rows, bounds, reference OPT."""
+    """Everything a run needs: oracle, objective, rows, lower bounds, reference OPT."""
 
     oracle: object
     c: np.ndarray
     initial_rows: list[Constraint]
     lb: np.ndarray
-    ub: Optional[np.ndarray]
     opt_ref: Optional[float]
     polar_mode: PolarMode
     gamma_standard: float
@@ -170,9 +169,7 @@ def build_instance(config: ExperimentConfig, need_opt: bool) -> Instance:
         opt = float(comb.brute_force_matching_opt(graph)) if need_opt else None
         # The feasible region contains the standard simplex, hence the ball
         # of radius 1/sqrt(d) meets it in the orthant: gamma = r ||c|| = 1.
-        return Instance(
-            oracle, np.ones(d), rows, np.zeros(d), np.ones(d), opt, PolarMode.PACKING, 1.0
-        )
+        return Instance(oracle, np.ones(d), rows, np.zeros(d), opt, PolarMode.PACKING, 1.0)
     if config.problem == "stableset":
         graph = _load_graph(config)
         n = graph.n_nodes
@@ -181,9 +178,7 @@ def build_instance(config: ExperimentConfig, need_opt: bool) -> Instance:
         oracle = comb.StableSetOracle(graph)
         rows = comb.stableset_initial_rows(graph, config.initial_constraints)
         opt = comb.clique_relaxation_opt(graph) if need_opt else None
-        return Instance(
-            oracle, np.ones(n), rows, np.zeros(n), np.ones(n), opt, PolarMode.PACKING, 1.0
-        )
+        return Instance(oracle, np.ones(n), rows, np.zeros(n), opt, PolarMode.PACKING, 1.0)
     if config.problem == "synthetic-ball":
         d = config.dim
         center = np.zeros(d)
@@ -195,14 +190,14 @@ def build_instance(config: ExperimentConfig, need_opt: bool) -> Instance:
         r_in = oracle.radius_inner
         gamma_std = (r_in if r_in else config.radius / 2) * float(np.linalg.norm(c))
         free = np.full(d, -np.inf)  # K need not lie in the orthant; the box rows bound it
-        return Instance(oracle, c, rows, free, None, opt, PolarMode.STANDARD, gamma_std)
+        return Instance(oracle, c, rows, free, opt, PolarMode.STANDARD, gamma_std)
     if config.problem == "synthetic-polytope":
         d = config.dim
         oracle = box_oracle(-np.ones(d), np.ones(d), radius_inner=1.0)
         c = np.ones(d)
         rows = _box_rows(d, 1.0)
         free = np.full(d, -np.inf)
-        return Instance(oracle, c, rows, free, None, float(d), PolarMode.STANDARD, np.sqrt(d))
+        return Instance(oracle, c, rows, free, float(d), PolarMode.STANDARD, np.sqrt(d))
     raise ValueError(f"unknown problem {config.problem!r}")
 
 
@@ -235,15 +230,14 @@ _INSTANCE_FIELDS = ("problem", "nodes", "triangles", "density", "seed", "dim", "
 def _shared_instance(key: tuple, need_opt: bool) -> Instance:
     """The instance of the last key asked for, built once; its arrays are read-only."""
     instance = build_instance(ExperimentConfig(**dict(zip(_INSTANCE_FIELDS, key))), need_opt)
-    for array in (instance.c, instance.lb, instance.ub, *(r.a for r in instance.initial_rows)):
-        if array is not None:
-            array.flags.writeable = False
+    for array in (instance.c, instance.lb, *(r.a for r in instance.initial_rows)):
+        array.flags.writeable = False
     return instance
 
 
 def _initial_lp(instance: Instance) -> tuple[LinearProgram, LPResult]:
     """The LP over the instance's initial rows and its solve, made on first use."""
-    lp = LinearProgram(instance.c, list(instance.initial_rows), lb=instance.lb, ub=instance.ub)
+    lp = LinearProgram(instance.c, list(instance.initial_rows), lb=instance.lb)
     if instance.initial_lp is None:
         res = solve_lp(lp)
         for array in (res.x, *res.final):
@@ -269,8 +263,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
         raise ValueError("this run needs a computable reference optimum")
     if stop_kind == "lp1pct":
         stop: StopRule = LPStop(
-            instance.opt_ref, instance.initial_rows, instance.lb, instance.ub,
-            every=config.lp_check_every,
+            instance.opt_ref, instance.initial_rows, instance.lb, every=config.lp_check_every
         )
         if config.method != "cutloop":  # the cut loop never asks its stop rule for an LP
             stop.warm.seed(*_initial_lp(instance))
@@ -286,7 +279,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
             instance.c,
             instance.initial_rows,
             lb=instance.lb,
-            ub=instance.ub,
             stop=stop,
             max_iters=config.iters,
             first=_initial_lp(instance)[1],

@@ -9,9 +9,10 @@ it bit for bit to a plain-Python copy.  It powers the cut loop, the shared
 1%-of-optimum stop rule `LPStop` and the clique-relaxation reference optimum.
 
 The cut loop resumes each LP from the previous one and still gets the cold
-solve's tableau, basis and x.  From the slack basis, the cold solve of an
-LP plus one row repeats the LP's pivots up to the first ratio test that the
-new row changes.  So each solve keeps its pivots (`_Path`), with the entries
+solve's tableau, basis and x.  An upper bound is a row like any other, so
+each cut is its LP's last row, and from the slack basis the cold solve of
+that LP repeats the previous LP's pivots up to the first ratio test that
+the cut wins.  So each solve keeps its pivots (`_Path`), with the entries
 they overwrote; the next LP replays only its new row along them, writes the
 old entries back down to that pivot and goes on from there.  The first LP
 can come solved: the harness solves each instance's initial LP once, and
@@ -27,7 +28,6 @@ rows another run appended adopts its state, bit for bit.
 
 from __future__ import annotations
 
-import bisect
 import operator
 from dataclasses import dataclass, field, replace
 
@@ -51,23 +51,20 @@ class UnboundedLPError(Exception):
 
 @dataclass
 class LinearProgram:
-    """Maximize <objective, x> subject to rows (<=), equalities, and bounds.
-
-    Lower bounds must be 0 or -inf; upper bounds may be finite or +inf.
-    Callers are expected to pose bounded problems.
+    """Maximize <objective, x> subject to rows (<=), equalities and lower
+    bounds, which must be 0 or -inf.  An upper bound is a row.  Callers are
+    expected to pose bounded problems.
     """
 
     objective: np.ndarray
     rows: list[Constraint] = field(default_factory=list)
     equalities: list[Constraint] = field(default_factory=list)
     lb: np.ndarray | None = None
-    ub: np.ndarray | None = None
 
     def __post_init__(self):
         self.objective = as_vector(self.objective)
         n = self.objective.shape[0]
         self.lb = np.zeros(n) if self.lb is None else np.asarray(self.lb, dtype=float)
-        self.ub = np.full(n, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float)
         if not ((self.lb == 0) | np.isneginf(self.lb)).all():
             raise ValueError("lower bounds must be 0 or -inf")
 
@@ -91,12 +88,11 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     """
     n = lp.objective.shape[0]
     free = np.flatnonzero(np.isneginf(lp.lb))
-    bounded = np.flatnonzero(np.isfinite(lp.ub))
-    le = np.vstack([_stack(lp.rows, n), np.eye(n)[bounded]])
-    le_b = np.concatenate([[r.b for r in lp.rows], lp.ub[bounded]])
+    le_b = np.array([r.b for r in lp.rows], dtype=float)
     eq_b = np.array([r.b for r in lp.equalities], dtype=float)
-    c, le, eq = (_expand(a, free) for a in (lp.objective, le, _stack(lp.equalities, n)))
-    path = None if len(eq) or (le_b < 0).any() else _Path(len(c), len(bounded))
+    le, eq = _stack(lp.rows, n), _stack(lp.equalities, n)
+    c, le, eq = (_expand(a, free) for a in (lp.objective, le, eq))
+    path = None if len(eq) or (le_b < 0).any() else _Path(len(c))
     return _result(lp, _simplex(c, le, le_b, eq, eq_b, path), path)
 
 
@@ -243,17 +239,11 @@ def _pivot(tableau: np.ndarray, row: int, col: int, basis: np.ndarray) -> tuple:
     return cols, old_entries, old_basic, rows, block, pivot_entries
 
 
-# Sorts a bound row's slack column after every other column in basic-index
-# comparisons across layouts.
-_TAIL = 1 << 40
-
-
 @dataclass(slots=True)
 class _Step:
-    """One pivot of a `_Path`.  Bound rows and the cost row are numbered
-    from the end of the tableau (-1 is the cost row), bound-row slack
-    columns and the rhs from its right edge (-1 is the rhs), so that the
-    indices hold after rows are inserted before the bound rows."""
+    """One pivot of a `_Path`.  The cost row and the rhs column are numbered
+    -1, so that the indices hold after a row and its slack column are
+    inserted before them."""
 
     enter: int
     row: int
@@ -263,8 +253,7 @@ class _Step:
     old_basic: int
     rows: np.ndarray  # the other rows the pivot changed
     block: np.ndarray  # their entries at cols before it
-    scan: tuple  # the ratio test after the constraint rows: (row, basic key, ratio)
-    tail: list  # the bound rows' candidates: (row, ratio, basic key)
+    scan: tuple  # the ratio test: (row, basic column, ratio)
     n_rows: int  # constraint rows when recorded
 
 
@@ -273,36 +262,25 @@ class _Path(list):
     raw record per pivot, and `settle` makes `_Step`s of them only when a
     resume needs them."""
 
-    def __init__(self, ncols: int, n_bound: int):
+    def __init__(self, ncols: int):
         super().__init__()
-        self.ncols, self.n_bound = ncols, n_bound  # structural columns, bound rows
+        self.ncols = ncols  # structural columns
         self.settled = 0  # pivots held as `_Step`s
 
     def fork(self) -> _Path:
         """A copy for a resume to take over; raw records are shared, never changed."""
-        twin = _Path(self.ncols, self.n_bound)
+        twin = _Path(self.ncols)
         twin.extend(self)
         return twin
 
     def settle(self, tableau: np.ndarray) -> None:
         """Turn the raw records of the solve that left `tableau` into steps."""
-        height, width = tableau.shape
-        n_rows = height - 1 - self.n_bound
-        split = self.ncols + n_rows  # first bound-row slack column
-
-        def col(j, tail=0):
-            return j if j < split else j - width + tail
-
+        n_rows, rhs = tableau.shape[0] - 1, tableau.shape[1] - 1
         for k in range(self.settled, len(self)):
             enter, row, candidates, (cols, old_entries, old_basic, rows, block, entries) = self[k]
-            head = bisect.bisect_left(candidates, (n_rows,))
-            leave, basic, ratio = _scan(candidates[:head])
             self[k] = _Step(
-                col(enter), row if row < n_rows else row - height,
-                np.where(cols < split, cols, cols - width), entries, old_entries,
-                col(int(old_basic)), np.where(rows < n_rows, rows, rows - height), block,
-                (leave, col(basic, _TAIL), ratio),
-                [(i - height, r, col(b, _TAIL)) for i, r, b in candidates[head:]], n_rows,
+                enter, row, np.where(cols < rhs, cols, -1), entries, old_entries, int(old_basic),
+                np.where(rows < n_rows, rows, -1), block, _scan(candidates), n_rows,
             )
         self.settled = len(self)
 
@@ -316,16 +294,13 @@ class _Path(list):
 
     def branch(self, v: np.ndarray, row: int, basic: int) -> int:
         """Replay a new constraint row v (index `row`, basic column `basic`)
-        up to the first pivot whose ratio test it changes, and return that
-        pivot's index.  The pivots before it take the row into their scan."""
+        up to the first pivot whose ratio test it wins, and return that
+        pivot's index."""
         for s, step in enumerate(self):
             coef = v[step.enter]
             if coef > _PIVOT_TOL:
-                scan = _scan([(row, float(v[-1]) / float(coef), basic)], *step.scan)
-                if scan[0] == row:
-                    if _scan(step.tail, *scan)[0] != step.row:
-                        return s
-                    step.scan = scan
+                if _scan([(row, float(v[-1]) / float(coef), basic)], *step.scan)[0] == row:
+                    return s
             if abs(coef) > 0:
                 v[step.cols] -= coef * step.pivot_row
         return len(self)
@@ -335,7 +310,7 @@ class _Path(list):
         for step in reversed(self[stop:]):
             tableau[step.rows[:, None], step.cols] = step.block
             tableau[step.row, step.cols] = step.old_entries
-            basis[step.row % tableau.shape[0]] = step.old_basic % tableau.shape[1]
+            basis[step.row] = step.old_basic
 
 
 def _resume(lp: LinearProgram, prev: LPResult | None) -> LPResult:
@@ -345,12 +320,12 @@ def _resume(lp: LinearProgram, prev: LPResult | None) -> LPResult:
     path = None if prev is None else prev.path
     if not path or lp.rows[-1].b < 0:
         return solve_lp(lp)
-    new = len(lp.rows) - 1  # the new row goes after the constraint rows
-    split = path.ncols + new  # and its slack after theirs
+    new = len(lp.rows) - 1  # the new row goes before the cost row
+    split = path.ncols + new  # and its slack before the rhs
     tableau, basis, _ = prev.final
     path.settle(tableau)
     tableau = np.insert(np.insert(tableau, new, 0.0, axis=0), split, 0.0, axis=1)
-    basis = np.insert(basis + (basis >= split), new, split)
+    basis = np.insert(basis, new, split)
     free = np.flatnonzero(np.isneginf(lp.lb))
 
     def initial(i: int) -> np.ndarray:
@@ -423,7 +398,7 @@ class _WarmStart:
     def seed(self, lp: LinearProgram, res: LPResult) -> float:
         """Keep res, the cold solve of lp, to resume from; returns its value."""
         # Copies: the caller may change its arrays.
-        self.fixed = tuple(v.copy() for v in (lp.objective, lp.lb, lp.ub))
+        self.fixed = tuple(v.copy() for v in (lp.objective, lp.lb))
         self.rows, self.final, self.value = lp.rows, res.final, res.value
         self.node = self.depth = 0
         return res.value
@@ -434,7 +409,7 @@ class _WarmStart:
             self.final is not None
             and len(lp.rows) >= len(self.rows)
             and all(map(operator.is_, self.rows, lp.rows))
-            and all(map(np.array_equal, self.fixed, (lp.objective, lp.lb, lp.ub)))
+            and all(map(np.array_equal, self.fixed, (lp.objective, lp.lb)))
         ):
             self.memo = None  # no memo node holds a cold solve's state
             return self.seed(lp, solve_lp(lp))
@@ -497,7 +472,7 @@ class LPStop(StopRule):
     """Stop once the LP over the initial plus separated rows is within 1% of
     the reference optimum: the criterion shared by every method.
 
-    Holds that LP's fixed pieces (initial rows and bounds) and the last
+    Holds that LP's fixed pieces (initial rows and lower bounds) and the last
     bound's final tableau, from which the next evaluation resumes.  The
     harness seeds `warm` with its instance's solved initial LP and hands it
     the instance's memo: the states within `_MEMO_DEPTH` rows of that LP,
@@ -508,15 +483,14 @@ class LPStop(StopRule):
     opt_ref: float
     rows: list[Constraint]
     lb: np.ndarray | None = None
-    ub: np.ndarray | None = None
-    every: int = 1
-    warm: _WarmStart = field(default_factory=_WarmStart, repr=False)
+    every: int = field(default=1, kw_only=True)
+    warm: _WarmStart = field(default_factory=_WarmStart, repr=False, kw_only=True)
 
     def lp_due(self, t: int) -> bool:
         return t % self.every == 0
 
     def lp_value(self, c, separated) -> float:
-        return lp_stop_bound(self.rows, separated, c, lb=self.lb, ub=self.ub, warm=self.warm)
+        return lp_stop_bound(self.rows, separated, c, lb=self.lb, warm=self.warm)
 
     def satisfied(self, *, gamma, bound, lp_value) -> bool:
         return lp_value is not None and lp_value <= 1.01 * self.opt_ref + 1e-9
@@ -531,7 +505,7 @@ class CutLoopResult:
     converged: bool
 
 
-def lp_stop_bound(initial_constraints, separated, c, lb=None, ub=None, warm=None) -> float:
+def lp_stop_bound(initial_constraints, separated, c, lb=None, warm=None) -> float:
     """Optimal value of the relaxation given by initial plus separated rows.
 
     This is the quantity all methods share for the 1%-of-optimum stopping
@@ -542,12 +516,7 @@ def lp_stop_bound(initial_constraints, separated, c, lb=None, ub=None, warm=None
     state is taken without a pivot; otherwise, and without `warm`, the LP
     is solved from scratch, and `warm` leaves its memo.
     """
-    lp = LinearProgram(
-        objective=as_vector(c),
-        rows=list(initial_constraints) + list(separated),
-        lb=lb,
-        ub=ub,
-    )
+    lp = LinearProgram(as_vector(c), list(initial_constraints) + list(separated), lb=lb)
     return (_WarmStart() if warm is None else warm).solve(lp)
 
 
@@ -557,7 +526,6 @@ def cut_loop(
     initial_constraints,
     *,
     lb=None,
-    ub=None,
     stop: StopRule | None = None,
     max_iters: int = 1000,
     first: LPResult | None = None,
@@ -565,9 +533,11 @@ def cut_loop(
     """Reference cutting-plane loop: solve the relaxation, separate, repeat.
 
     The iteration count is the number of separated inequalities, not simplex
-    pivots.  Stops when the oracle declares the LP optimum inside K, when the
-    stop rule fires on the LP value, or at the iteration limit; a limit of 0
-    solves the initial LP and separates nothing.  `first`, `solve_lp`'s
+    pivots.  The initial rows must bound the LP (an upper bound is a row),
+    and each cut goes after them.  Stops when the oracle declares the LP
+    optimum inside K, when the stop rule fires on the LP value, or at the
+    iteration limit; a limit of 0 solves the initial LP and separates
+    nothing.  `first`, `solve_lp`'s
     result for the LP over the initial rows, stands in for that solve: the
     loop resumes from a copy of its pivot path and leaves it as it was.
     """
@@ -581,7 +551,7 @@ def cut_loop(
     res = first and replace(first, x=first.x.copy(), path=first.path and first.path.fork())
 
     for _ in range(max_iters + 1):
-        lp = LinearProgram(objective=c, rows=rows + cuts, lb=lb, ub=ub)
+        lp = LinearProgram(objective=c, rows=rows + cuts, lb=lb)
         try:
             res = _resume(lp, res) if cuts else res or solve_lp(lp)
         except UnboundedLPError as exc:

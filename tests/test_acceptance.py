@@ -32,7 +32,7 @@ from oracleopt.solver_general import run_general
 from oracleopt.solver_polar import PolarMode, run_polar
 from oracleopt.trace import CapOnly
 
-from test_lp_baseline import enumerate_vertices_value
+from test_lp_baseline import bound_rows, enumerate_vertices_value
 
 logging.disable(logging.WARNING)
 
@@ -325,10 +325,10 @@ def test_criterion_7_simplex_against_vertex_enumeration():
                 for _ in range(m)
             ]
             lb = np.zeros(n)
-            ub = rng.uniform(0.5, 2.5, size=n)
+            rows += bound_rows(rng.uniform(0.5, 2.5, size=n))
             c = rng.normal(size=n)
-            res = solve_lp(LinearProgram(objective=c, rows=rows, lb=lb, ub=ub))
-            ref = enumerate_vertices_value(c, rows, lb, ub)
+            res = solve_lp(LinearProgram(objective=c, rows=rows, lb=lb))
+            ref = enumerate_vertices_value(c, rows, lb)
             assert ref is not None
             assert abs(res.value - ref) <= 1e-7
 
@@ -404,7 +404,7 @@ def test_criterion_9_packing_invariants():
                 oracle,
                 np.ones(d),
                 gamma1=1.0,
-                stop=LPStop(opt, rows, np.zeros(d), np.ones(d)),
+                stop=LPStop(opt, rows, np.zeros(d)),
                 max_iters=1000,
                 strategy=fully_corrective(1),
                 mode=PolarMode.PACKING,
@@ -421,7 +421,7 @@ def test_criterion_9_packing_invariants():
             if final_lp is None:
                 from oracleopt.lp_baseline import lp_stop_bound
 
-                final_lp = lp_stop_bound(rows, res.state.cuts, np.ones(d), lb=np.zeros(d), ub=np.ones(d))
+                final_lp = lp_stop_bound(rows, res.state.cuts, np.ones(d), lb=np.zeros(d))
             assert final_lp <= 1.01 * opt + 1e-9
 
 

@@ -144,7 +144,7 @@ def test_verify_round_trip_with_instance(tmp_path):
         oracle,
         np.ones(d),
         gamma1=1.0,
-        stop=LPStop(opt, rows, np.zeros(d), np.ones(d)),
+        stop=LPStop(opt, rows, np.zeros(d)),
         max_iters=500,
         mode=PolarMode.PACKING,
         initial_constraints=rows,

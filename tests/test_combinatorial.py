@@ -566,6 +566,9 @@ class TestReferenceOptima:
     def test_c5_clique_relaxation(self):
         c5 = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         assert clique_relaxation_opt(c5) == pytest.approx(2.5)
+        # Isolated nodes: only their singleton cliques bound them.
+        assert clique_relaxation_opt(make_graph(3, [])) == pytest.approx(3.0)
+        assert clique_relaxation_opt(make_graph(4, [(0, 1)])) == pytest.approx(3.0)
 
     def test_matching_cap(self):
         g = random_gnp(26, 0.5, seed=0)

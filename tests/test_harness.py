@@ -155,7 +155,7 @@ class TestRunExperiment:
         res = run_general(
             instance.oracle,
             instance.c,
-            stop=LPStop(instance.opt_ref, instance.initial_rows, instance.lb, instance.ub),
+            stop=LPStop(instance.opt_ref, instance.initial_rows, instance.lb),
             strategy=fully_corrective(1) if config.frequency else None,
             initial_constraints=instance.initial_rows,
         )
@@ -338,9 +338,8 @@ class TestSharedInstance:
         for _ in range(2):
             run_experiment(load_config(None, dict(base, method="cutloop")))
         fresh = build_instance(load_config(None, base), need_opt=True)
-        stop = LPStop(fresh.opt_ref, fresh.initial_rows, fresh.lb, fresh.ub)
-        ref = cut_loop(fresh.oracle, fresh.c, fresh.initial_rows, lb=fresh.lb, ub=fresh.ub,
-                       stop=stop)
+        stop = LPStop(fresh.opt_ref, fresh.initial_rows, fresh.lb)
+        ref = cut_loop(fresh.oracle, fresh.c, fresh.initial_rows, lb=fresh.lb, stop=stop)
         assert len(builds) == 1 and ref.cuts  # the three runs shared one instance
         for loop in loops:
             assert loop.trace.to_csv() == ref.trace.to_csv()
@@ -375,7 +374,7 @@ class TestSharedInstance:
         run_experiment(load_config(None, dict(SWEEP_GRAPHS["stableset"], out="")))
         [instance] = builds
         tableau, basis, allowed = instance.initial_lp.final
-        for array in (instance.c, instance.lb, instance.ub, instance.initial_rows[0].a,
+        for array in (instance.c, instance.lb, instance.initial_rows[0].a,
                       instance.initial_rows[-1].a, instance.initial_lp.x, tableau, basis,
                       allowed):
             with pytest.raises(ValueError, match="read-only"):

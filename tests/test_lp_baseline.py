@@ -54,11 +54,6 @@ def reference_solve_lp(lp: LinearProgram) -> tuple[np.ndarray, float]:
         return row
 
     le_rows = [(expand(r.a), r.b) for r in lp.rows]
-    for j in range(n):
-        if np.isfinite(lp.ub[j]):
-            e = np.zeros(n)
-            e[j] = 1.0
-            le_rows.append((expand(e), float(lp.ub[j])))
     eq_rows = [(expand(r.a), r.b) for r in lp.equalities]
     x_full = _reference_simplex(expand(lp.objective), le_rows, eq_rows, ncols)
     x = x_full[:n].copy()
@@ -172,6 +167,11 @@ def _reference_pivot(tableau, row, col, basis):
     basis[row] = col
 
 
+def bound_rows(ub) -> list[Constraint]:
+    """The rows x_j <= ub_j for each finite ub_j."""
+    return [Constraint(np.eye(len(ub))[j], float(ub[j])) for j in np.flatnonzero(np.isfinite(ub))]
+
+
 FAMILIES = (
     "packing01",
     "near_ties",
@@ -186,7 +186,8 @@ FAMILIES = (
 
 
 def random_lp(rng, family: str) -> LinearProgram:
-    """A small random LP of one family; some families are degenerate on purpose."""
+    """A small random LP of one family; some families are degenerate on purpose.
+    The upper bounds drawn, finite for some variables, are rows after the others."""
     n = int(rng.integers(1, 13))
     m = int(rng.integers(0, 30))
     lb = np.zeros(n)
@@ -247,7 +248,7 @@ def random_lp(rng, family: str) -> LinearProgram:
         ub = np.where(rng.random(n) < 0.3, 1.0, np.inf)
         rows = [Constraint(-(rng.random(n) < 0.5).astype(float), 0.0) for _ in range(m)]
         c = np.abs(c) + 1.0
-    return LinearProgram(objective=c, rows=rows, equalities=eqs, lb=lb, ub=ub)
+    return LinearProgram(objective=c, rows=rows + bound_rows(ub), equalities=eqs, lb=lb)
 
 
 def vectorized_solve_lp(lp: LinearProgram) -> tuple[np.ndarray, float]:
@@ -271,18 +272,15 @@ def highs(lp: LinearProgram):
         b_ub=[r.b for r in lp.rows] or None,
         A_eq=np.array([r.a for r in lp.equalities]) if lp.equalities else None,
         b_eq=[r.b for r in lp.equalities] or None,
-        bounds=[
-            (None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
-            for lo, hi in zip(lp.lb, lp.ub)
-        ],
+        bounds=[(None if np.isinf(lo) else lo, None) for lo in lp.lb],
         method="highs",
     )
 
 
-def enumerate_vertices_value(c, rows, lb, ub):
+def enumerate_vertices_value(c, rows, lb):
     """Reference optimum: try every intersection of n active constraints.
 
-    Rows plus finite bounds form the candidate hyperplanes; feasible
+    Rows plus finite lower bounds form the candidate hyperplanes; feasible
     intersection points are scored directly.
     """
     c = np.asarray(c, dtype=float)
@@ -291,8 +289,6 @@ def enumerate_vertices_value(c, rows, lb, ub):
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        if np.isfinite(ub[j]):
-            planes.append((e.copy(), float(ub[j])))
         if np.isfinite(lb[j]):
             planes.append((-e, float(-lb[j])))
     best = None
@@ -304,7 +300,7 @@ def enumerate_vertices_value(c, rows, lb, ub):
         except np.linalg.LinAlgError:
             continue
         feasible = all(a @ x <= bb + 1e-9 for a, bb in planes)
-        feasible = feasible and np.all(x >= lb - 1e-9) and np.all(x <= ub + 1e-9)
+        feasible = feasible and np.all(x >= lb - 1e-9)
         if feasible:
             val = float(c @ x)
             if best is None or val > best:
@@ -314,7 +310,7 @@ def enumerate_vertices_value(c, rows, lb, ub):
 
 class TestSolveLP:
     def test_box_corner(self):
-        lp = LinearProgram(objective=np.ones(2), ub=np.ones(2))
+        lp = LinearProgram(objective=np.ones(2), rows=bound_rows(np.ones(2)))
         res = solve_lp(lp)
         assert res.value == pytest.approx(2.0)
         assert np.allclose(res.x, [1, 1])
@@ -329,22 +325,21 @@ class TestSolveLP:
         assert np.allclose(res.x, [1, 0], atol=1e-9)
 
     def test_free_variables(self):
+        # maximize -x0 + x1 with x0 >= -inf needs a blocking row to stay bounded
         lp = LinearProgram(
             objective=np.array([-1.0, 1.0]),
-            rows=[Constraint(np.array([0.0, 1.0]), 2.0)],
+            rows=[Constraint(np.array([0.0, 1.0]), 2.0), Constraint(np.array([-1.0, 0.0]), 3.0)]
+            + bound_rows(np.array([1.0, np.inf])),
             lb=np.array([-np.inf, 0.0]),
-            ub=np.array([1.0, np.inf]),
         )
-        # maximize -x0 + x1 with x0 >= -inf needs a blocking row to stay bounded
-        lp.rows.append(Constraint(np.array([-1.0, 0.0]), 3.0))
         res = solve_lp(lp)
         assert res.value == pytest.approx(5.0)
 
     def test_equality_rows(self):
         lp = LinearProgram(
             objective=np.array([1.0, 0.0]),
+            rows=bound_rows(np.array([0.25, np.inf])),
             equalities=[Constraint(np.ones(2), 1.0)],
-            ub=np.array([0.25, np.inf]),
         )
         res = solve_lp(lp)
         assert res.value == pytest.approx(0.25)
@@ -466,10 +461,10 @@ class TestSolveLP:
                 for _ in range(m)
             ]
             lb = np.zeros(n)
-            ub = rng.uniform(0.5, 3.0, size=n)
+            rows += bound_rows(rng.uniform(0.5, 3.0, size=n))
             c = rng.normal(size=n)
-            res = solve_lp(LinearProgram(objective=c, rows=rows, lb=lb, ub=ub))
-            ref = enumerate_vertices_value(c, rows, lb, ub)
+            res = solve_lp(LinearProgram(objective=c, rows=rows, lb=lb))
+            ref = enumerate_vertices_value(c, rows, lb)
             assert ref is not None
             assert res.value == pytest.approx(ref, abs=1e-7)
 
@@ -498,7 +493,7 @@ class TestCutLoop:
     def test_zero_cuts_when_lp_optimum_inside(self):
         oracle = BallOracle(np.zeros(2), 2.0)
         rows = [Constraint(np.array([1.0, 0.0]), 1.0), Constraint(np.array([0.0, 1.0]), 1.0)]
-        res = cut_loop(oracle, np.ones(2), rows, ub=np.ones(2), max_iters=50)
+        res = cut_loop(oracle, np.ones(2), rows, max_iters=50)
         assert res.converged
         assert len(res.cuts) == 0
         assert res.value == pytest.approx(2.0)
@@ -526,7 +521,7 @@ class TestCutLoop:
     def test_cap_of_zero_separates_nothing_like_the_solvers(self, monkeypatch):
         graph = random_gnp(12, 0.5, 0)
         rows = stableset_initial_rows(graph, "basic")
-        c, bounds = np.ones(12), dict(lb=np.zeros(12), ub=np.ones(12))
+        c, bounds = np.ones(12), dict(lb=np.zeros(12))
         calls = []
         real = StableSetOracle.separate
         monkeypatch.setattr(StableSetOracle, "separate", lambda *a: calls.append(1) or real(*a))
@@ -555,11 +550,11 @@ class TestCutLoop:
     def test_first_lp_stands_in_for_the_cold_solve(self, fields, monkeypatch):
         config = harness.load_config(None, dict(fields, out=""))
         instance = harness.build_instance(config, need_opt=True)
-        stop = LPStop(instance.opt_ref, instance.initial_rows, instance.lb, instance.ub)
+        stop = LPStop(instance.opt_ref, instance.initial_rows, instance.lb)
         args = (instance.oracle, instance.c, instance.initial_rows)
-        kwargs = dict(lb=instance.lb, ub=instance.ub, stop=stop, max_iters=30)
+        kwargs = dict(lb=instance.lb, stop=stop, max_iters=30)
         cold = cut_loop(*args, **kwargs)
-        lp = LinearProgram(instance.c, list(instance.initial_rows), lb=instance.lb, ub=instance.ub)
+        lp = LinearProgram(instance.c, list(instance.initial_rows), lb=instance.lb)
         first = solve_lp(lp)
         path = list(first.path)
         solves = []
@@ -576,7 +571,7 @@ class TestCutLoop:
 class TestLPStopBound:
     def test_unit_box_all_ones(self):
         for n in (2, 4, 7):
-            val = lp_stop_bound([], [], np.ones(n), lb=np.zeros(n), ub=np.ones(n))
+            val = lp_stop_bound(bound_rows(np.ones(n)), [], np.ones(n), lb=np.zeros(n))
             assert val == pytest.approx(float(n))
 
     def test_triangle_matching_with_blossom_cut(self):
@@ -587,9 +582,10 @@ class TestLPStopBound:
             Constraint(np.array([1.0, 0.0, 1.0]), 1.0),
             Constraint(np.array([0.0, 1.0, 1.0]), 1.0),
         ]
+        degree += bound_rows(np.ones(3))
         blossom = [Constraint(np.ones(3), 1.0)]
-        loose = lp_stop_bound(degree, [], np.ones(3), lb=np.zeros(3), ub=np.ones(3))
-        tight = lp_stop_bound(degree, blossom, np.ones(3), lb=np.zeros(3), ub=np.ones(3))
+        loose = lp_stop_bound(degree, [], np.ones(3), lb=np.zeros(3))
+        tight = lp_stop_bound(degree, blossom, np.ones(3), lb=np.zeros(3))
         assert loose == pytest.approx(1.5)
         assert tight == pytest.approx(1.0)
 
@@ -598,11 +594,18 @@ class TestLPStopBound:
         assert rule.satisfied(gamma=0, bound=0, lp_value=10.05)
         assert not rule.satisfied(gamma=0, bound=0, lp_value=10.2)
 
+    def test_every_and_warm_are_keyword_only(self):
+        # A fourth positional argument must not bind to `every`.
+        with pytest.raises(TypeError):
+            LPStop(1.0, [], np.zeros(2), np.ones(2))
+        assert LPStop(1.0, [], np.zeros(2), every=3).lp_due(3)
+
 
 def warm_start_run(rng, family: str):
-    """An LP-stop run in miniature: fixed initial rows and bounds, then the
-    rows each call appends to the separated list (0 to 3 of mixed kinds:
-    0/1 packing rows, nonneg:j rows with b = 0 and Gaussian rows)."""
+    """An LP-stop run in miniature: fixed initial rows (upper bounds last)
+    and lower bounds, then the rows each call appends to the separated list
+    (0 to 3 of mixed kinds: 0/1 packing rows, nonneg:j rows with b = 0 and
+    Gaussian rows)."""
     n = int(rng.integers(1, 10))
     free = rng.random(n) < 0.5 if family == "free" else np.zeros(n, dtype=bool)
     lb = np.where(free, -np.inf, 0.0)
@@ -614,6 +617,7 @@ def warm_start_run(rng, family: str):
             initial.append(Constraint(e, 2.0))
         if free[j]:
             initial.append(Constraint(-e, 2.0))
+    initial += bound_rows(ub)
     c = np.ones(n) if family == "packing" else rng.normal(size=n)
     steps = []
     for _ in range(int(rng.integers(1, 15))):
@@ -628,7 +632,7 @@ def warm_start_run(rng, family: str):
             else:
                 rows.append(Constraint(rng.normal(size=n), float(rng.uniform(-0.5, 2.0))))
         steps.append(rows)
-    return c, initial, lb, ub, steps
+    return c, initial, lb, steps
 
 
 class TestWarmStartedLPStopBound:
@@ -641,12 +645,12 @@ class TestWarmStartedLPStopBound:
         rng = np.random.default_rng(31)
         calls = infeasible = 0
         for k in range(150):
-            c, initial, lb, ub, steps = warm_start_run(rng, ("packing", "gaussian", "free")[k % 3])
-            stop = LPStop(0.0, initial, lb, ub)
+            c, initial, lb, steps = warm_start_run(rng, ("packing", "gaussian", "free")[k % 3])
+            stop = LPStop(0.0, initial, lb)
             separated = []
             for rows in steps:
                 separated.extend(rows)
-                lp = LinearProgram(objective=c, rows=initial + separated, lb=lb, ub=ub)
+                lp = LinearProgram(objective=c, rows=initial + separated, lb=lb)
                 try:
                     fresh = real_solve(lp).value
                 except InfeasibleLPError:
@@ -663,8 +667,8 @@ class TestWarmStartedLPStopBound:
 
     def test_call_without_new_rows_returns_the_kept_value_without_pivots(self, monkeypatch):
         rng = np.random.default_rng(3)
-        c, initial, lb, ub, _ = warm_start_run(rng, "gaussian")
-        stop = LPStop(0.0, initial, lb, ub)
+        c, initial, lb, _ = warm_start_run(rng, "gaussian")
+        stop = LPStop(0.0, initial, lb)
         separated = [Constraint(rng.normal(size=len(c)), 0.5) for _ in range(3)]
         value = stop.lp_value(c, separated)
         moves = []
@@ -677,14 +681,15 @@ class TestWarmStartedLPStopBound:
         "change", ["objective", "objective_in_place", "copied_rows", "fewer_rows"]
     )
     def test_falls_back_to_a_fresh_solve(self, change):
-        # K3 edge variables: degree rows, then a blossom row and a bound row.
+        # K3 edge variables: degree and x <= 1 rows, then a blossom row and a
+        # bound row.
         degree = [
             Constraint(np.array([1.0, 1.0, 0.0]), 1.0),
             Constraint(np.array([1.0, 0.0, 1.0]), 1.0),
             Constraint(np.array([0.0, 1.0, 1.0]), 1.0),
-        ]
+        ] + bound_rows(np.ones(3))
         separated = [Constraint(np.ones(3), 1.0), Constraint(np.array([0.0, 0.0, 1.0]), 0.25)]
-        bounds = dict(lb=np.zeros(3), ub=np.ones(3))
+        bounds = dict(lb=np.zeros(3))
         stop = LPStop(0.0, degree, **bounds)
         c = np.array([1.0, 2.0, 3.0])
         stop.lp_value(c, separated)
@@ -718,7 +723,7 @@ class TestWarmStartedLPStopBound:
 
         def stop():
             opt = float(brute_force_matching_opt(graph))
-            return LPStop(opt, rows, np.zeros(d), np.ones(d))
+            return LPStop(opt, rows, np.zeros(d))
 
         shared = stop()
         for strategy in (segment_only(), fully_corrective(1), segment_only()):
@@ -759,7 +764,7 @@ def replay(runs, seeded, memo):
         warm.seed(*seeded)
         warm.memo = memo
         values.append([warm.solve(LinearProgram(c, seeded[0].rows + separated,
-                                                lb=seeded[0].lb, ub=seeded[0].ub)).hex()
+                                                lb=seeded[0].lb)).hex()
                        for c, separated in calls])
     return values
 
@@ -768,7 +773,7 @@ def seeded_lp(problem, **fields):
     """The LP over an instance's initial rows and its read-only cold solve."""
     config = harness.load_config(None, dict(fields, problem=problem, out=""))
     instance = harness.build_instance(config, need_opt=False)
-    lp = LinearProgram(instance.c, list(instance.initial_rows), lb=instance.lb, ub=instance.ub)
+    lp = LinearProgram(instance.c, list(instance.initial_rows), lb=instance.lb)
     res = solve_lp(lp)
     for array in res.final:
         array.flags.writeable = False
@@ -813,7 +818,7 @@ class TestLPStopMemo:
         warm.seed(lp, res)
         warm.memo = {}
         cut = Constraint(np.ones(len(lp.objective)), 1.0)
-        warm.solve(LinearProgram(lp.objective, lp.rows + [cut], lb=lp.lb, ub=lp.ub))
+        warm.solve(LinearProgram(lp.objective, lp.rows + [cut], lb=lp.lb))
         [(node, final, value)] = warm.memo.values()
         assert (warm.node, warm.final, warm.value) == (node, final, value)
         for array in final:
@@ -830,17 +835,17 @@ class TestLPStopMemo:
         warm.seed(lp, res)
         warm.memo = memo
         c = lp.objective
-        warm.solve(LinearProgram(c, lp.rows + cuts, lb=lp.lb, ub=lp.ub))
+        warm.solve(LinearProgram(c, lp.rows + cuts, lb=lp.lb))
         assert len(memo) == 1 and warm.node == 1
         rows = lp.rows + cuts[:1] if change == "fewer_rows" else lp.rows + cuts
         if change == "objective":
             c = np.arange(1.0, n + 1)
-        fresh = solve_lp(LinearProgram(c, rows, lb=lp.lb, ub=lp.ub)).value
-        assert warm.solve(LinearProgram(c, rows, lb=lp.lb, ub=lp.ub)) == fresh
+        fresh = solve_lp(LinearProgram(c, rows, lb=lp.lb)).value
+        assert warm.solve(LinearProgram(c, rows, lb=lp.lb)) == fresh
         assert warm.memo is None and warm.node == 0
         more = rows + [Constraint(np.eye(n)[2], 0.5)]
-        fresh = solve_lp(LinearProgram(c, more, lb=lp.lb, ub=lp.ub)).value
-        assert warm.solve(LinearProgram(c, more, lb=lp.lb, ub=lp.ub)) == fresh
+        fresh = solve_lp(LinearProgram(c, more, lb=lp.lb)).value
+        assert warm.solve(LinearProgram(c, more, lb=lp.lb)) == fresh
         assert len(memo) == 1
 
     def test_memo_stays_within_its_budget(self, monkeypatch):
@@ -874,7 +879,7 @@ class TestLPStopMemo:
 def path_steps(path):
     """What a pivot path decides, step by step: the pivot and the ratio test."""
     return [
-        (s.enter, s.row, s.cols.tolist(), s.pivot_row.tolist(), s.scan, s.tail) for s in path
+        (s.enter, s.row, s.cols.tolist(), s.pivot_row.tolist(), s.scan) for s in path
     ]
 
 
@@ -933,10 +938,10 @@ def resumes(monkeypatch):
 def instance_cut_loop(problem, max_iters=1000, **fields):
     config = harness.load_config(None, dict(problem=problem, out="", **fields))
     instance = harness.build_instance(config, need_opt=True)
-    stop = LPStop(instance.opt_ref, instance.initial_rows, instance.lb, instance.ub)
+    stop = LPStop(instance.opt_ref, instance.initial_rows, instance.lb)
     return cut_loop(
-        instance.oracle, instance.c, instance.initial_rows, lb=instance.lb, ub=instance.ub,
-        stop=stop, max_iters=max_iters,
+        instance.oracle, instance.c, instance.initial_rows, lb=instance.lb, stop=stop,
+        max_iters=max_iters,
     )
 
 
@@ -964,26 +969,24 @@ class TestResumedCutLoop:
         # The resume skips most of the pivots that the cold solves make.
         assert resumes["resumed_pivots"] < 0.5 * resumes["cold_pivots"]
 
-    def test_cut_that_joins_a_near_tie_chain_without_a_pivot(self, resumes):
-        # max x0 with x0 <= 1 + 2.5e-9 (row 0) and the bound x0 <= 1: the
-        # scan takes row 0, then the bound (1 < 1 + 1.5e-9).
-        bounds = dict(lb=np.zeros(1), ub=np.ones(1))
-        rows = [Constraint(np.array([1.0]), 1.0 + 2.5e-9)]
-        first = solve_lp(LinearProgram(np.ones(1), rows, **bounds))
-        # The cut x0 <= 1 + 1.2e-9 takes the lead from row 0, and the bound
-        # still wins: the cut joins the first pivot's scan and stays basic.
-        rows.append(Constraint(np.array([1.0]), 1.0 + 1.2e-9))
-        second = lp_baseline._resume(LinearProgram(np.ones(1), rows, **bounds), first)
+    def test_near_tie_cut_keeps_the_path_and_a_smaller_ratio_pivots(self, resumes):
+        # max x0 with x0 <= 1: one pivot, on row 0.
+        rows = [Constraint(np.array([1.0]), 1.0)]
+        first = solve_lp(LinearProgram(np.ones(1), rows))
+        # The cut x0 <= 1 - 5e-10 near-ties row 0 in that pivot's ratio test.
+        # Its slack, the newest column, is the highest basic index, so it
+        # loses the tie: the resume keeps the path and stays basic.
+        rows.append(Constraint(np.array([1.0]), 1.0 - 5e-10))
+        second = lp_baseline._resume(LinearProgram(np.ones(1), rows), first)
         assert resumes["resumed_pivots"] == 0
         assert second.x.tolist() == [1.0]
-        assert second.path[0].scan[0] == 1  # the cut leads after the constraint rows
-        # x0 <= 1 + 1e-10 takes the lead from the cut and near-ties the
-        # bound, which it beats on its lower basic index: the resume goes
-        # back to the first pivot and pivots on it instead.
-        rows.append(Constraint(np.array([1.0]), 1.0 + 1e-10))
-        third = lp_baseline._resume(LinearProgram(np.ones(1), rows, **bounds), second)
+        assert second.path[0].scan[0] == 0
+        # x0 <= 1 - 2e-9 is smaller beyond the tolerance: the resume goes
+        # back to the first pivot and pivots on the new row instead.
+        rows.append(Constraint(np.array([1.0]), 1.0 - 2e-9))
+        third = lp_baseline._resume(LinearProgram(np.ones(1), rows), second)
         assert resumes["resumed_pivots"] == 1
-        assert third.x.tolist() == [1.0 + 1e-10]
+        assert third.x.tolist() == [1.0 - 2e-9]
         assert resumes["calls"] == 2 and resumes["fallbacks"] == 0
 
     def test_cut_with_negative_rhs_takes_the_cold_phase_1_path(self, resumes):

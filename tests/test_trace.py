@@ -63,7 +63,7 @@ def _matching_run_args(graph, every=1):
         oracle=MatchingOracle(graph, max_set_size=graph.n_nodes),
         c=np.ones(d),
         initial_constraints=rows,
-        stop=LPStop(opt, rows, np.zeros(d), np.ones(d), every=every),
+        stop=LPStop(opt, rows, np.zeros(d), every=every),
     )
 
 
