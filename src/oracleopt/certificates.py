@@ -187,7 +187,6 @@ def verify_certificate(
     constraint_history=None,
     c=None,
     R: Optional[float] = None,
-    gamma: Optional[float] = None,
 ) -> VerifyReport:
     """Re-derive the aggregated inequality and check it proves the bound.
 
@@ -199,7 +198,6 @@ def verify_certificate(
     """
     c = as_vector(c) if c is not None else cert.objective
     R = cert.R if R is None else R
-    gamma = cert.gamma if gamma is None else gamma
 
     mults = np.array([m for _, m in cert.rows], dtype=float)
     multipliers_nonneg = bool(
@@ -219,7 +217,7 @@ def verify_certificate(
     normal_matches = max_err <= 1e-6
     rhs_margin = cert.claimed_bound - rhs
     rhs_within_bound = rhs <= cert.claimed_bound + 1e-6
-    bound_above_gamma = cert.claimed_bound >= gamma - 1e-9
+    bound_above_gamma = cert.claimed_bound >= cert.gamma - 1e-9
     ball_norm = float(np.linalg.norm(cert.ball_normal))
     ball_row_valid = cert.ball_rhs >= R * ball_norm - 1e-9
 

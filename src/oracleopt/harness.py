@@ -17,6 +17,7 @@ another's early queries and cuts repeats none of their work.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -83,6 +84,8 @@ class ExperimentConfig:
             raise ValueError("epsilon must be > 0")
         if not 0 <= self.density <= 1:
             raise ValueError("density must be in [0, 1]")
+        if not (math.isfinite(self.radius) and math.isfinite(self.center_offset)):
+            raise ValueError("radius and center_offset must be finite")
         if self.graph_file and self.problem not in ("matching", "stableset"):
             raise ValueError(f"a graph file needs a graph problem, not {self.problem!r}")
         if self.max_set_size < 3:

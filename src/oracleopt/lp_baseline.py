@@ -12,11 +12,12 @@ The cut loop resumes each LP from the previous one and still gets the cold
 solve's tableau, basis and x.  An upper bound is a row like any other, so
 each cut is its LP's last row, and from the slack basis the cold solve of
 that LP repeats the previous LP's pivots up to the first ratio test that
-the cut wins.  So each solve keeps its pivots (`_Path`), with the entries
-they overwrote; the next LP replays only its new row along them, writes the
-old entries back down to that pivot and goes on from there.  The first LP
-can come solved: the harness solves each instance's initial LP once, and
-each cut loop on it resumes from its own copy of that solve's path.
+the cut wins.  So each solve records its pivots as it makes them (`_Path`),
+with the entries they overwrote; the next LP replays only its new row along
+them, writes the old entries back down to that pivot and goes on from there.
+The first LP can come solved: the harness solves each instance's initial LP
+once, and each cut loop on it resumes from its own fork of that solve's
+path, which shares the recorded pivots.
 
 The stopping bound needs only the optimal value and gains a few rows per
 iteration, so `LPStop` warm-starts it: the new rows join the previous
@@ -28,6 +29,7 @@ rows another run appended adopts its state, bit for bit.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field, replace
 
@@ -52,21 +54,30 @@ class UnboundedLPError(Exception):
 @dataclass
 class LinearProgram:
     """Maximize <objective, x> subject to rows (<=), equalities and lower
-    bounds, which must be 0 or -inf.  An upper bound is a row.  Callers are
-    expected to pose bounded problems.
+    bounds, which must be 0 or -inf; a scalar bound holds for every
+    variable.  An upper bound is a row.  Callers are expected to pose
+    bounded problems.
     """
 
     objective: np.ndarray
     rows: list[Constraint] = field(default_factory=list)
     equalities: list[Constraint] = field(default_factory=list)
-    lb: np.ndarray | None = None
+    lb: np.ndarray | float | None = None
 
     def __post_init__(self):
         self.objective = as_vector(self.objective)
         n = self.objective.shape[0]
-        self.lb = np.zeros(n) if self.lb is None else np.asarray(self.lb, dtype=float)
+        lb = np.zeros(n) if self.lb is None else np.asarray(self.lb, dtype=float)
+        self.lb = np.full(n, lb) if lb.ndim == 0 else lb
+        if self.lb.shape != (n,):
+            raise ValueError(f"lower bounds have shape {self.lb.shape}, not ({n},)")
         if not ((self.lb == 0) | np.isneginf(self.lb)).all():
             raise ValueError("lower bounds must be 0 or -inf")
+
+    @functools.cached_property
+    def free(self) -> np.ndarray:
+        """The free variables, each split as x = x+ - x- with a mirror column."""
+        return np.flatnonzero(np.isneginf(self.lb))
 
 
 @dataclass
@@ -86,32 +97,39 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     Returns a basic optimal solution and its final tableau.  Raises
     InfeasibleLPError or UnboundedLPError for degenerate inputs.
     """
-    n = lp.objective.shape[0]
-    free = np.flatnonzero(np.isneginf(lp.lb))
-    le_b = np.array([r.b for r in lp.rows], dtype=float)
-    eq_b = np.array([r.b for r in lp.equalities], dtype=float)
-    le, eq = _stack(lp.rows, n), _stack(lp.equalities, n)
-    c, le, eq = (_expand(a, free) for a in (lp.objective, le, eq))
-    path = None if len(eq) or (le_b < 0).any() else _Path(len(c))
-    return _result(lp, _simplex(c, le, le_b, eq, eq_b, path), path)
+    phase_1 = lp.equalities or any(r.b < 0 for r in lp.rows)
+    path = None if phase_1 else _Path(len(lp.objective) + len(lp.free))
+    return _result(lp, _simplex(lp, path), path)
 
 
-def _stack(rows, n: int) -> np.ndarray:
-    return np.array([r.a for r in rows], dtype=float).reshape(len(rows), n)
+def _rows(lp: LinearProgram, rows: list, slack: int | None, out: np.ndarray) -> None:
+    """Write the initial tableau rows of the constraints `rows` into `out`,
+    which holds zeros: their structural columns, a mirror column per free
+    variable, one slack column each from column `slack` on (none for
+    equalities, slack None) and the rhs last."""
+    n, free = len(lp.objective), lp.free
+    a = out[:, :n]
+    a[:] = np.reshape([r.a for r in rows], (-1, n))
+    out[:, n : n + len(free)] = -a[:, free]
+    if slack is not None:
+        np.fill_diagonal(out[:, slack:], 1.0)
+    out[:, -1] = [r.b for r in rows]
 
 
-def _expand(a: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Append one mirror column per free variable (x = x+ - x-)."""
-    n = a.shape[-1]
-    out = np.zeros(a.shape[:-1] + (n + len(free),))
-    out[..., :n] = a
-    out[..., n:] = -a[..., free]
-    return out
+def _grow(final: tuple, k: int) -> tuple:
+    """`final` with k zero rows and k zero slack columns appended before the
+    cost row and the rhs column; each new slack is basic in its row."""
+    kept, basis, allowed = final
+    m, width = len(basis), kept.shape[1] - 1
+    tableau = np.zeros((m + k + 1, width + k + 1))
+    tableau[:m, :width], tableau[:m, -1] = kept[:-1, :-1], kept[:-1, -1]
+    tableau[-1, :width], tableau[-1, -1] = kept[-1, :-1], kept[-1, -1]
+    basis = np.concatenate([basis, width + np.arange(k)])
+    return tableau, basis, np.concatenate([allowed, np.ones(k, dtype=bool)])
 
 
 def _result(lp: LinearProgram, final: tuple, path=None) -> LPResult:
-    n = lp.objective.shape[0]
-    free = np.flatnonzero(np.isneginf(lp.lb))
+    n, free = len(lp.objective), lp.free
     tableau, basis, _ = final
     x_full = np.zeros(tableau.shape[1] - 1)
     x_full[basis] = tableau[:-1, -1]
@@ -120,33 +138,29 @@ def _result(lp: LinearProgram, final: tuple, path=None) -> LPResult:
     return LPResult(x, float(lp.objective @ x), final, path)
 
 
-def _simplex(c, le, le_b, eq, eq_b, path=None) -> tuple:
-    n_le, ncols = le.shape
-    m = n_le + len(eq)
-    total = ncols + n_le  # structural + slack columns; artificials appended below
+def _simplex(lp: LinearProgram, path=None) -> tuple:
+    rows = lp.rows + lp.equalities
+    n_le, m = len(lp.rows), len(rows)
+    n = len(lp.objective)
+    ncols = n + len(lp.free)  # structural and mirror columns
+    total = ncols + n_le  # and slack columns; artificials appended below
 
-    A = np.zeros((m, total))
-    A[:n_le, :ncols] = le
-    A[:n_le, ncols:] = np.eye(n_le)
-    A[n_le:, :ncols] = eq
-    b = np.concatenate([le_b, eq_b])
-
-    # Flip rows with negative right-hand sides so every row can host a
-    # nonnegative basic variable.
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-
-    # Rows whose slack no longer works as a starting basis get an artificial.
-    basis = np.arange(ncols, ncols + m)
+    # Rows with a negative rhs are flipped, so that every row can host a
+    # nonnegative basic variable.  Those rows and the equalities have no
+    # slack to start the basis with, so they get an artificial.
+    flip = np.array([r.b < 0 for r in rows], dtype=bool)
     needs_artificial = np.flatnonzero(flip | (np.arange(m) >= n_le))
     n_art = len(needs_artificial)
     art_cols = total + np.arange(n_art)
-    basis[needs_artificial] = art_cols
     tableau = np.zeros((m + 1, total + n_art + 1))
-    tableau[:m, :total] = A
-    tableau[:m, -1] = b
+    _rows(lp, lp.rows, ncols, tableau[:n_le])
+    _rows(lp, lp.equalities, None, tableau[n_le:m])
+    flip = flip.nonzero()[0]
+    tableau[flip, :total] *= -1.0
+    tableau[flip, -1] *= -1.0
     tableau[needs_artificial, art_cols] = 1.0
+    basis = np.arange(ncols, ncols + m)
+    basis[needs_artificial] = art_cols
 
     allowed = np.ones(total + n_art, dtype=bool)
     if n_art:
@@ -168,7 +182,8 @@ def _simplex(c, le, le_b, eq, eq_b, path=None) -> tuple:
 
     # Phase 2 cost row: start from -c and eliminate the basic columns.  Basic
     # columns stay unit vectors, so the rows to eliminate are known up front.
-    tableau[-1, : len(c)] = -c
+    tableau[-1, :n] = -lp.objective
+    tableau[-1, n:ncols] = lp.objective[lp.free]
     for i in np.flatnonzero(np.abs(tableau[-1, basis]) > 0):
         tableau[-1, :] -= tableau[-1, basis[i]] * tableau[i, :]
     _iterate(tableau, basis, allowed, path)
@@ -190,13 +205,13 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray, allowed: np.ndarray, path=N
         column = tableau[:-1, enter]
         rows = (column > _PIVOT_TOL).nonzero()[0]
         ratios = rhs[rows] / column[rows]
-        candidates = list(zip(rows.tolist(), ratios.tolist(), basis[rows].tolist()))
-        row = _scan(candidates)[0]
+        scan = _scan(zip(rows.tolist(), ratios.tolist(), basis[rows].tolist()))
+        row = scan[0]
         if row is None:
             raise UnboundedLPError("no blocking row for entering column")
         undo = _pivot(tableau, row, enter, basis)
         if path is not None:
-            path.append((int(enter), row, candidates, undo))  # `_Path.settle` reads it
+            path.append(_Step(int(enter), row, *undo, scan, len(basis)))
 
 
 def _scan(candidates, leave=None, basic_leave=-1, best=np.inf) -> tuple:
@@ -215,10 +230,11 @@ def _scan(candidates, leave=None, basic_leave=-1, best=np.inf) -> tuple:
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int, basis: np.ndarray) -> tuple:
-    """Pivot in place.  Returns, for `_Path`, the columns of the pivot row's
-    nonzeros and the rhs, its old entries there and its old basic column,
-    the other changed rows, their old entries at those columns and the
-    divided pivot-row entries."""
+    """Pivot in place.  Returns, for a `_Step`, the columns of the pivot
+    row's nonzeros and the rhs, its old entries there and its old basic
+    column, the other changed rows, their old entries at those columns and
+    the divided pivot-row entries.  The rhs column and the cost row are
+    numbered -1 there."""
     # Only rows with a nonzero coefficient change, and only columns with a
     # nonzero pivot-row entry plus the rhs: elsewhere the update subtracts a
     # zero, which at most flips the sign of a zero entry, and only the rhs
@@ -227,12 +243,14 @@ def _pivot(tableau: np.ndarray, row: int, col: int, basis: np.ndarray) -> tuple:
     cols = pivot_row != 0
     cols[-1] = True
     cols = cols.nonzero()[0]
-    old_entries, old_basic = pivot_row[cols], basis[row]
+    cols[-1] = -1
+    old_entries, old_basic = pivot_row[cols], int(basis[row])
     pivot_entries = old_entries / pivot_row[col]
     pivot_row[cols] = pivot_entries
     coeffs = tableau[:, col]
     rows = coeffs.nonzero()[0]
     rows = rows[rows != row]
+    rows[rows == len(basis)] = -1
     block = tableau[rows[:, None], cols]
     tableau[rows[:, None], cols] = block - coeffs[rows, None] * pivot_entries
     basis[row] = col
@@ -241,56 +259,43 @@ def _pivot(tableau: np.ndarray, row: int, col: int, basis: np.ndarray) -> tuple:
 
 @dataclass(slots=True)
 class _Step:
-    """One pivot of a `_Path`.  The cost row and the rhs column are numbered
-    -1, so that the indices hold after a row and its slack column are
-    inserted before them."""
+    """One pivot of a `_Path`, recorded when it is made.  The cost row and
+    the rhs column are numbered -1, so that the indices hold after rows and
+    their slack columns are appended before them."""
 
     enter: int
     row: int
     cols: np.ndarray  # the pivot row's nonzero columns, and the rhs
-    pivot_row: np.ndarray  # its entries there
-    old_entries: np.ndarray  # and before the division
+    old_entries: np.ndarray  # its entries there before the pivot
     old_basic: int
     rows: np.ndarray  # the other rows the pivot changed
     block: np.ndarray  # their entries at cols before it
+    pivot_row: np.ndarray  # the pivot row's entries at cols after it
     scan: tuple  # the ratio test: (row, basic column, ratio)
     n_rows: int  # constraint rows when recorded
 
 
 class _Path(list):
-    """A phase-2 solve's pivots from the slack basis.  `_iterate` appends a
-    raw record per pivot, and `settle` makes `_Step`s of them only when a
-    resume needs them."""
+    """A phase-2 solve's pivots from the slack basis, a `_Step` each.  Steps
+    are never changed, so forks of a path share them."""
 
     def __init__(self, ncols: int):
         super().__init__()
-        self.ncols = ncols  # structural columns
-        self.settled = 0  # pivots held as `_Step`s
+        self.ncols = ncols  # structural and mirror columns
 
     def fork(self) -> _Path:
-        """A copy for a resume to take over; raw records are shared, never changed."""
+        """A copy for a resume to take over."""
         twin = _Path(self.ncols)
         twin.extend(self)
         return twin
 
-    def settle(self, tableau: np.ndarray) -> None:
-        """Turn the raw records of the solve that left `tableau` into steps."""
-        n_rows, rhs = tableau.shape[0] - 1, tableau.shape[1] - 1
-        for k in range(self.settled, len(self)):
-            enter, row, candidates, (cols, old_entries, old_basic, rows, block, entries) = self[k]
-            self[k] = _Step(
-                enter, row, np.where(cols < rhs, cols, -1), entries, old_entries, int(old_basic),
-                np.where(rows < n_rows, rows, -1), block, _scan(candidates), n_rows,
-            )
-        self.settled = len(self)
-
-    def replay(self, v: np.ndarray, stop: int) -> np.ndarray:
-        """Row v of the initial tableau as it stands before pivot `stop`."""
+    def replay(self, v: np.ndarray, stop: int) -> None:
+        """Take row v of the initial tableau, in place, to where it stands
+        before pivot `stop`."""
         for step in self[:stop]:
             coef = v[step.enter]
             if abs(coef) > 0:
                 v[step.cols] -= coef * step.pivot_row
-        return v
 
     def branch(self, v: np.ndarray, row: int, basic: int) -> int:
         """Replay a new constraint row v (index `row`, basic column `basic`)
@@ -321,31 +326,19 @@ def _resume(lp: LinearProgram, prev: LPResult | None) -> LPResult:
     if not path or lp.rows[-1].b < 0:
         return solve_lp(lp)
     new = len(lp.rows) - 1  # the new row goes before the cost row
-    split = path.ncols + new  # and its slack before the rhs
-    tableau, basis, _ = prev.final
-    path.settle(tableau)
-    tableau = np.insert(np.insert(tableau, new, 0.0, axis=0), split, 0.0, axis=1)
-    basis = np.insert(basis, new, split)
-    free = np.flatnonzero(np.isneginf(lp.lb))
-
-    def initial(i: int) -> np.ndarray:
-        v = np.zeros(tableau.shape[1])
-        v[: path.ncols] = _expand(as_vector(lp.rows[i].a), free)
-        v[path.ncols + i] = 1.0
-        v[-1] = lp.rows[i].b
-        return v
-
-    row = initial(new)
-    stop = path.branch(row, new, split)
+    slack = path.ncols + new  # and its slack before the rhs
+    tableau, basis, allowed = _grow(prev.final, 1)
+    _rows(lp, lp.rows[new:], slack, tableau[new:-1])
+    stop = path.branch(tableau[new], new, slack)
     if stop < len(path):
         path.undo(tableau, basis, stop)
         # Rows added after pivot `stop` was recorded are not in its record.
-        for i in range(path[stop].n_rows, new):
-            tableau[i] = path.replay(initial(i), stop)
+        old = path[stop].n_rows
+        tableau[old:new] = 0.0
+        _rows(lp, lp.rows[old:new], path.ncols + old, tableau[old:new])
+        for v in tableau[old:new]:
+            path.replay(v, stop)
         del path[stop:]
-        path.settled = stop
-    tableau[new] = row
-    allowed = np.ones(tableau.shape[1] - 1, dtype=bool)
     _iterate(tableau, basis, allowed, path)
     return _result(lp, (tableau, basis, allowed), path)
 
@@ -446,22 +439,15 @@ def _append_rows(final: tuple, new: list, lp: LinearProgram) -> tuple:
     """The final tableau of lp, from `final`, that of lp without its `new` rows."""
     # Each new row gets its own slack column (zero reduced cost) and has the
     # basic columns eliminated, so the basis stays dual feasible.
-    kept, basis, allowed = final
-    k, m, width = len(new), len(basis), kept.shape[1] - 1
-    tableau = np.zeros((m + k + 1, width + k + 1))
-    tableau[:m, :width], tableau[:m, -1] = kept[:-1, :-1], kept[:-1, -1]
-    tableau[-1, :width], tableau[-1, -1] = kept[-1, :-1], kept[-1, -1]
-    a = _expand(_stack(new, len(lp.objective)), np.flatnonzero(np.isneginf(lp.lb)))
-    tableau[m:-1, : a.shape[1]] = a
-    np.fill_diagonal(tableau[m:-1, width:-1], 1.0)
-    tableau[m:-1, -1] = [r.b for r in new]
+    kept = final[1]
+    m = len(kept)
+    tableau, basis, allowed = _grow(final, len(new))
+    _rows(lp, new, tableau.shape[1] - 1 - len(new), tableau[m:-1])
     for row in tableau[m:-1]:
         # One kept row after another, in row order, like the phase-2 cost row.
-        coeffs = row[basis]
+        coeffs = row[kept]
         nz = coeffs.nonzero()[0]
         row[:] = np.subtract.reduce(np.vstack([row, coeffs[nz, None] * tableau[nz]]))
-    basis = np.concatenate([basis, width + np.arange(k)])
-    allowed = np.concatenate([allowed, np.ones(k, dtype=bool)])
     _dual_iterate(tableau, basis, allowed)
     _iterate(tableau, basis, allowed)  # reduced costs the dual pivots left below -_COST_TOL
     return tableau, basis, allowed
@@ -493,7 +479,8 @@ class LPStop(StopRule):
         return lp_stop_bound(self.rows, separated, c, lb=self.lb, warm=self.warm)
 
     def satisfied(self, *, gamma, bound, lp_value) -> bool:
-        return lp_value is not None and lp_value <= 1.01 * self.opt_ref + 1e-9
+        factor = 1.01 if self.opt_ref > 0 else 0.99  # within 1% above, at either sign
+        return lp_value is not None and lp_value <= factor * self.opt_ref + 1e-9
 
 
 @dataclass

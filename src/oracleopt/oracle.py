@@ -194,12 +194,12 @@ class PolytopeOracle(SeparationOracle):
         return Violated(self.rows[idx], worst)
 
 
-def box_oracle(lo, hi, radius_outer=None, radius_inner=None) -> PolytopeOracle:
-    """Convenience oracle for an axis-aligned box [lo, hi]^n."""
+def box_oracle(lo, hi, radius_inner=None) -> PolytopeOracle:
+    """Convenience oracle for an axis-aligned box [lo, hi]^n, in the ball
+    through its farthest corner."""
     lo = as_vector(lo)
     hi = as_vector(hi)
-    if radius_outer is None:
-        radius_outer = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
+    radius_outer = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
     return PolytopeOracle(
         [], box_bounds=(lo, hi), radius_outer=radius_outer, radius_inner=radius_inner
     )

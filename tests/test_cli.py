@@ -71,6 +71,16 @@ def test_run_exit_codes(tmp_path):
     assert code == 2
 
 
+def test_lp_stop_fires_on_a_negative_optimum(tmp_path, capsys):
+    # The optimum is -3 + sqrt(2) < 0; 1.01 times it was a threshold that
+    # no LP bound reaches, so the run hit its cap.
+    code = main(["run", "--problem", "synthetic-ball", "--method", "general", "--dim", "2",
+                 "--center-offset", "-3", "--radius", "1", "--stop", "lp1pct",
+                 "--iters", "3000", "--out", str(tmp_path)])
+    assert code == 0
+    assert "(converged)" in capsys.readouterr().out
+
+
 def test_cutloop_on_synthetic_ball_reaches_the_optimum(tmp_path, capsys):
     # `auto` runs the cut loop to its own convergence: the gap rule would
     # compare the LP value with itself and stop at once.
@@ -108,12 +118,20 @@ def test_run_rejects_max_set_size_below_three(tmp_path, monkeypatch, capsys):
         (["--stop", "gap", "--epsilon", "nan"], "epsilon must be > 0"),
         (["--density", "1.5"], r"density must be in \[0, 1\]"),
         (["--density", "-0.1"], r"density must be in \[0, 1\]"),
+        (["--radius", "inf"], "radius and center_offset must be finite"),
+        (["--radius", "nan"], "radius and center_offset must be finite"),
+        (["--center-offset", "nan"], "radius and center_offset must be finite"),
+        (["--center-offset", "inf"], "radius and center_offset must be finite"),
     ],
-    ids=["negative-epsilon", "nan-epsilon", "density-above-one", "negative-density"],
+    ids=[
+        "negative-epsilon", "nan-epsilon", "density-above-one", "negative-density",
+        "inf-radius", "nan-radius", "nan-center-offset", "inf-center-offset",
+    ],
 )
 def test_run_rejects_unusable_epsilon_and_density(flags, message, tmp_path, monkeypatch, capsys):
-    # A negative epsilon ran to the iteration cap (GapStop never fires), and
-    # a density above 1 quietly built the complete graph.
+    # A negative epsilon ran to the iteration cap (GapStop never fires), a
+    # density above 1 quietly built the complete graph, and an infinite
+    # radius failed inside the solver as if it were a solver bug.
     built = []
     monkeypatch.setattr(harness, "build_instance", lambda *args: built.append(args))
     code = main(["run", "--problem", "stableset", "--nodes", "5", *flags, "--out", str(tmp_path)])

@@ -1,3 +1,4 @@
+import operator
 import sys
 from pathlib import Path
 
@@ -334,7 +335,7 @@ class TestSharedInstance:
         [instance] = builds
         kept = instance.initial_lp
         tableau, basis, allowed = (array.tobytes() for array in kept.final)
-        pivots = len(kept.path)
+        steps = list(kept.path)
         for _ in range(2):
             run_experiment(load_config(None, dict(base, method="cutloop")))
         fresh = build_instance(load_config(None, base), need_opt=True)
@@ -347,11 +348,12 @@ class TestSharedInstance:
                 (c.name, c.a.tobytes()) for c in ref.cuts
             ]
             assert loop.value == ref.value and loop.x.tobytes() == ref.x.tobytes()
-        # The kept solve is as the first run left it, and its pivots are still raw.
+        # The kept solve is as the first run left it, with the very steps it recorded.
         assert instance.initial_lp is kept
         assert tuple(array.tobytes() for array in kept.final) == (tableau, basis, allowed)
-        assert len(kept.path) == pivots > 0 and kept.path.settled == 0
-        assert all(isinstance(record, tuple) for record in kept.path)
+        assert len(kept.path) == len(steps) > 0
+        assert all(map(operator.is_, kept.path, steps))
+        assert all(isinstance(step, lp_baseline._Step) for step in kept.path)
 
     def test_sweep_solves_the_initial_lp_once(self, builds, monkeypatch):
         solves = []

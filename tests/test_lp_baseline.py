@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -324,6 +325,19 @@ class TestSolveLP:
         assert res.value == pytest.approx(1.0)
         assert np.allclose(res.x, [1, 0], atol=1e-9)
 
+    def test_scalar_lower_bound_holds_for_every_variable(self):
+        # max -x0 - x1 with x >= -1: a scalar -inf frees both variables.
+        rows = [Constraint([-1.0, 0.0], 1.0), Constraint([0.0, -1.0], 1.0)]
+        res = solve_lp(LinearProgram([-1.0, -1.0], rows, lb=-np.inf))
+        assert res.x.tolist() == [-1.0, -1.0] and res.value == 2.0
+        assert lp_stop_bound(rows, [], [-1.0, -1.0], lb=-np.inf) == 2.0
+        assert LinearProgram([1.0, 1.0], lb=0.0).lb.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("n_bounds", [1, 3])
+    def test_lower_bounds_of_another_length_are_rejected(self, n_bounds):
+        with pytest.raises(ValueError, match="shape"):
+            LinearProgram([1.0, 1.0], lb=np.full(n_bounds, -np.inf))
+
     def test_free_variables(self):
         # maximize -x0 + x1 with x0 >= -inf needs a blocking row to stay bounded
         lp = LinearProgram(
@@ -565,7 +579,9 @@ class TestCutLoop:
             assert warm.x.tobytes() == cold.x.tobytes() and warm.value == cold.value
             assert [c.a.tobytes() for c in warm.cuts] == [c.a.tobytes() for c in cold.cuts]
             assert warm.trace.to_csv() == cold.trace.to_csv()
-            assert list(first.path) == path and first.path.settled == 0
+            # The very steps of the first solve: a fork shares them.
+            assert len(first.path) == len(path)
+            assert all(map(operator.is_, first.path, path))
 
 
 class TestLPStopBound:
@@ -593,6 +609,14 @@ class TestLPStopBound:
         rule = LPStop(10.0, [])
         assert rule.satisfied(gamma=0, bound=0, lp_value=10.05)
         assert not rule.satisfied(gamma=0, bound=0, lp_value=10.2)
+
+    def test_stop_rule_fires_within_one_percent_of_a_negative_optimum(self):
+        # 1.01 * opt lies below opt when opt < 0: no bound would ever fire.
+        rule = LPStop(-10.0, [])
+        assert rule.satisfied(gamma=0, bound=0, lp_value=-10.0)
+        assert rule.satisfied(gamma=0, bound=0, lp_value=-9.95)
+        assert not rule.satisfied(gamma=0, bound=0, lp_value=-9.8)
+        assert LPStop(0.0, []).satisfied(gamma=0, bound=0, lp_value=0.0)
 
     def test_every_and_warm_are_keyword_only(self):
         # A fourth positional argument must not bind to `every`.
@@ -895,8 +919,6 @@ def assert_same_solve(got: lp_baseline.LPResult, cold: lp_baseline.LPResult) -> 
     assert got.value == cold.value
     assert (got.path is None) == (cold.path is None)
     if cold.path is not None:
-        got.path.settle(tableau)
-        cold.path.settle(cold_tableau)
         assert path_steps(got.path) == path_steps(cold.path)
 
 
@@ -988,6 +1010,35 @@ class TestResumedCutLoop:
         assert resumes["resumed_pivots"] == 1
         assert third.x.tolist() == [1.0 - 2e-9]
         assert resumes["calls"] == 2 and resumes["fallbacks"] == 0
+
+    def test_resumed_path_shares_the_steps_of_the_path_it_forked(self, monkeypatch):
+        # Each resume keeps the steps before its branch pivot as they are:
+        # the same objects, from the first LP's path on.
+        config = harness.load_config(
+            None, dict(problem="stableset", nodes=16, density=0.55, seed=0, out="")
+        )
+        instance = harness.build_instance(config, need_opt=True)
+        first = solve_lp(LinearProgram(instance.c, list(instance.initial_rows), lb=instance.lb))
+        resumes, stops = [], []
+        real_resume, real_branch = lp_baseline._resume, lp_baseline._Path.branch
+
+        def resume(lp, prev):
+            forked = list(prev.path)
+            got = real_resume(lp, prev)
+            resumes.append((forked, list(got.path)))  # the next resume takes it over
+            return got
+
+        monkeypatch.setattr(lp_baseline, "_resume", resume)
+        monkeypatch.setattr(
+            lp_baseline._Path, "branch", lambda *args: stops.append(real_branch(*args)) or stops[-1]
+        )
+        res = cut_loop(instance.oracle, instance.c, instance.initial_rows, lb=instance.lb, first=first)
+        assert len(resumes) == len(stops) == len(res.cuts) > 1
+        assert all(map(operator.is_, resumes[0][0], first.path))
+        for (forked, path), stop in zip(resumes, stops):
+            assert all(map(operator.is_, path[:stop], forked[:stop]))
+            assert all(isinstance(step, lp_baseline._Step) for step in path)
+        assert any(0 < stop < len(forked) for (forked, _), stop in zip(resumes, stops))
 
     def test_cut_with_negative_rhs_takes_the_cold_phase_1_path(self, resumes):
         # A ball off the origin cuts the box corner (5, 5) with the row
