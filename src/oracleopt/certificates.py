@@ -75,14 +75,13 @@ def build_polar_certificate(state, R: float) -> DualCertificate:
     Multipliers are gamma times the maintained simplex weights; the residual
     direction (f - q) becomes the single enclosing-ball inequality.  In
     packing mode the gap between the aggregate and its in-hull shadow is
-    charged to the nonnegativity rows.
+    charged to the nonnegativity rows; a state holds a shadow exactly in
+    packing mode.
     """
-    from .solver_polar import PolarMode  # local import to avoid a cycle
-
     gamma = state.gamma
     weights = np.asarray(state.weights, dtype=float)
     combo = weights @ state.atoms.matrix
-    packing = state.mode is PolarMode.PACKING
+    packing = state.shadow is not None
     reference = state.shadow if packing else state.aggregate
 
     if abs(weights.sum() - 1.0) > _DECOMP_TOL or np.min(weights) < -_DECOMP_TOL:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import combinatorial as comb
 from .certificates import certificate_from_text, verify_certificate
-from .harness import CHOICES, ExperimentConfig, load_config, run_experiment
+from .harness import CHOICES, ExperimentConfig, build_instance, load_config, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,14 +92,13 @@ def _cmd_verify(args) -> int:
         cert = certificate_from_text(fh.read())
     c = R = None
     if args.instance:
-        with open(args.instance, encoding="utf-8") as fh:
-            graph = comb.parse_dimacs(fh.read())
-        # Every CLI instance maximizes the all-ones objective and lies in the
-        # ball of radius sqrt(dim); the certificate's own copies are not trusted.
-        dim = graph.n_edges if args.problem == "matching" else graph.n_nodes
-        if len(cert.objective) != dim:
-            raise ValueError(f"certificate has dimension {len(cert.objective)}, the instance {dim}")
-        c, R = np.ones(dim), float(np.sqrt(dim))
+        # c and R are the instance's that `run` builds; the certificate's are not trusted.
+        instance = build_instance(ExperimentConfig(problem=args.problem, graph_file=args.instance))
+        c, R, graph = instance.c, instance.oracle.radius_outer, instance.oracle.graph
+        if len(cert.objective) != len(c):
+            raise ValueError(
+                f"certificate has dimension {len(cert.objective)}, the instance {len(c)}"
+            )
     report = verify_certificate(cert, c=c, R=R)
     ok = report.passed
     print(f"aggregation checks: {'pass' if ok else 'FAIL ' + ','.join(report.failures())}")

@@ -6,12 +6,12 @@ solver variants against the reference cut loop, standard versus optimal
 initialization, and the shared stopping rule that checks the LP over the
 initial plus separated constraints against the true optimum.
 
-Consecutive runs on one instance share it: its oracle, reference optimum and
-solved initial LP are built once, and its arrays are read-only.  The LP stop
-rule resumes from that solve's final tableau and the cut loop from its pivot
-path, so no run solves the initial LP again.  The oracle keeps its answers
-and the LP stop rules share a memo of their states, so a run that repeats
-another's early queries and cuts repeats none of their work.
+Consecutive runs on one instance share it, and its arrays are read-only.  Its
+reference optimum and solved initial LP are made on first use, at most once.
+The LP stop rule resumes from that solve's final tableau and the cut loop
+from its pivot path.  The oracle keeps its answers and the LP stop rules
+share a memo of their states, so a run that repeats another's early queries
+and cuts repeats none of their work.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -148,20 +148,35 @@ class ExperimentSummary:
 
 @dataclass
 class Instance:
-    """Everything a run needs: oracle, objective, rows, lower bounds, reference OPT."""
+    """Everything a run needs; the reference optimum and initial LP are solved on first use."""
 
     oracle: object
     c: np.ndarray
     initial_rows: list[Constraint]
     lb: np.ndarray
-    opt_ref: Optional[float]
+    find_opt: Callable[[], float]  # computes the reference optimum
     polar_mode: PolarMode
     gamma_standard: float
-    initial_lp: Optional[LPResult] = None  # the cold solve of the LP over initial_rows
     lp_memo: dict = field(default_factory=dict)  # shared by the LP stop rules resumed from it
 
+    @functools.cached_property
+    def opt_ref(self) -> float:
+        return float(self.find_opt())
 
-def build_instance(config: ExperimentConfig, need_opt: bool) -> Instance:
+    def lp(self) -> LinearProgram:
+        """The LP over the initial rows."""
+        return LinearProgram(self.c, list(self.initial_rows), lb=self.lb)
+
+    @functools.cached_property
+    def initial_lp(self) -> LPResult:
+        """The cold solve of `lp()`; its arrays are read-only."""
+        res = solve_lp(self.lp())
+        for array in (res.x, *res.final):
+            array.flags.writeable = False
+        return res
+
+
+def build_instance(config: ExperimentConfig) -> Instance:
     if config.problem == "matching":
         graph = _load_graph(config)
         d = graph.n_edges
@@ -169,7 +184,7 @@ def build_instance(config: ExperimentConfig, need_opt: bool) -> Instance:
             raise ValueError("matching instance has no edges")
         oracle = comb.MatchingOracle(graph, max_set_size=config.max_set_size)
         rows = comb.matching_initial_rows(graph, config.initial_constraints)
-        opt = float(comb.brute_force_matching_opt(graph)) if need_opt else None
+        opt = lambda: comb.brute_force_matching_opt(graph)  # noqa: E731
         # The feasible region contains the standard simplex, hence the ball
         # of radius 1/sqrt(d) meets it in the orthant: gamma = r ||c|| = 1.
         return Instance(oracle, np.ones(d), rows, np.zeros(d), opt, PolarMode.PACKING, 1.0)
@@ -180,7 +195,7 @@ def build_instance(config: ExperimentConfig, need_opt: bool) -> Instance:
             raise ValueError("stableset instance has no nodes")
         oracle = comb.StableSetOracle(graph)
         rows = comb.stableset_initial_rows(graph, config.initial_constraints)
-        opt = comb.clique_relaxation_opt(graph) if need_opt else None
+        opt = lambda: comb.clique_relaxation_opt(graph)  # noqa: E731
         return Instance(oracle, np.ones(n), rows, np.zeros(n), opt, PolarMode.PACKING, 1.0)
     if config.problem == "synthetic-ball":
         d = config.dim
@@ -193,14 +208,14 @@ def build_instance(config: ExperimentConfig, need_opt: bool) -> Instance:
         r_in = oracle.radius_inner
         gamma_std = (r_in if r_in else config.radius / 2) * float(np.linalg.norm(c))
         free = np.full(d, -np.inf)  # K need not lie in the orthant; the box rows bound it
-        return Instance(oracle, c, rows, free, opt, PolarMode.STANDARD, gamma_std)
+        return Instance(oracle, c, rows, free, lambda: opt, PolarMode.STANDARD, gamma_std)
     if config.problem == "synthetic-polytope":
         d = config.dim
         oracle = box_oracle(-np.ones(d), np.ones(d), radius_inner=1.0)
         c = np.ones(d)
         rows = _box_rows(d, 1.0)
         free = np.full(d, -np.inf)
-        return Instance(oracle, c, rows, free, float(d), PolarMode.STANDARD, np.sqrt(d))
+        return Instance(oracle, c, rows, free, lambda: d, PolarMode.STANDARD, np.sqrt(d))
     raise ValueError(f"unknown problem {config.problem!r}")
 
 
@@ -230,23 +245,12 @@ _INSTANCE_FIELDS = ("problem", "nodes", "triangles", "density", "seed", "dim", "
 
 
 @functools.lru_cache(maxsize=1)
-def _shared_instance(key: tuple, need_opt: bool) -> Instance:
+def _shared_instance(key: tuple) -> Instance:
     """The instance of the last key asked for, built once; its arrays are read-only."""
-    instance = build_instance(ExperimentConfig(**dict(zip(_INSTANCE_FIELDS, key))), need_opt)
+    instance = build_instance(ExperimentConfig(**dict(zip(_INSTANCE_FIELDS, key))))
     for array in (instance.c, instance.lb, *(r.a for r in instance.initial_rows)):
         array.flags.writeable = False
     return instance
-
-
-def _initial_lp(instance: Instance) -> tuple[LinearProgram, LPResult]:
-    """The LP over the instance's initial rows and its solve, made on first use."""
-    lp = LinearProgram(instance.c, list(instance.initial_rows), lb=instance.lb)
-    if instance.initial_lp is None:
-        res = solve_lp(lp)
-        for array in (res.x, *res.final):
-            array.flags.writeable = False
-        instance.initial_lp = res
-    return lp, instance.initial_lp
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optional[str]]:
@@ -258,19 +262,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
             stop_kind = "lp1pct"
         else:
             stop_kind = "cap" if config.method == "cutloop" else "gap"
-    need_opt = config.init == "optimal" or stop_kind == "lp1pct"
     text = Path(config.graph_file).read_text(encoding="utf-8") if config.graph_file else None
     key = tuple(getattr(config, name) for name in _INSTANCE_FIELDS) + (text,)
-    instance = _shared_instance(key, need_opt)
-    if need_opt and instance.opt_ref is None:
-        raise ValueError("this run needs a computable reference optimum")
+    instance = _shared_instance(key)
     if stop_kind == "lp1pct":
         stop: StopRule = LPStop(
             instance.opt_ref, instance.initial_rows, instance.lb, every=config.lp_check_every
         )
-        if config.method != "cutloop":  # the cut loop never asks its stop rule for an LP
-            stop.warm.seed(*_initial_lp(instance))
-            stop.warm.memo = instance.lp_memo
+        stop.warm.seed(instance.lp(), instance.initial_lp)
+        stop.warm.memo = instance.lp_memo
     elif stop_kind == "gap":
         stop = GapStop(rel=config.epsilon)
     else:
@@ -284,7 +284,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
             lb=instance.lb,
             stop=stop,
             max_iters=config.iters,
-            first=_initial_lp(instance)[1],
+            first=instance.initial_lp,
         )
         iterations, gamma, bound = len(result.cuts), result.value, result.value
     else:
@@ -312,9 +312,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
                 stop=stop,
                 max_iters=config.iters,
                 strategy=strategy,
-                initial_constraints=[
-                    c for c in instance.initial_rows if float(np.linalg.norm(c.a)) > 0
-                ],
+                initial_constraints=instance.initial_rows,
             )
         iterations, gamma, bound = result.iterations, result.gamma, result.bound
     summary = ExperimentSummary(

@@ -109,7 +109,11 @@ def _rows(lp: LinearProgram, rows: list, slack: int | None, out: np.ndarray) -> 
     equalities, slack None) and the rhs last."""
     n, free = len(lp.objective), lp.free
     a = out[:, :n]
-    a[:] = np.reshape([r.a for r in rows], (-1, n))
+    try:
+        a[:] = np.reshape([r.a for r in rows], (len(rows), n))
+    except ValueError:
+        bad = next(len(r.a) for r in rows if len(r.a) != n)
+        raise ValueError(f"a row has {bad} entries, the objective {n}") from None
     out[:, n : n + len(free)] = -a[:, free]
     if slack is not None:
         np.fill_diagonal(out[:, slack:], 1.0)
@@ -528,6 +532,8 @@ def cut_loop(
     result for the LP over the initial rows, stands in for that solve: the
     loop resumes from a copy of its pivot path and leaves it as it was.
     """
+    if max_iters < 0:
+        raise ValueError("max_iters must be >= 0")
     c = as_vector(c)
     rows = list(initial_constraints)
     cuts: list[Constraint] = []

@@ -230,7 +230,6 @@ def run_polar(
     oracle: SeparationOracle,
     c,
     *,
-    R: Optional[float] = None,
     gamma1: Optional[float] = None,
     stop: Optional[StopRule] = None,
     max_iters: int = 1000,
@@ -249,8 +248,7 @@ def run_polar(
     cnorm = float(np.linalg.norm(c))
     if cnorm == 0:
         raise ValueError("objective must be nonzero")
-    if R is None:
-        R = oracle.radius_outer
+    R = oracle.radius_outer
     strategy = strategy or corr.segment_only()
     stop = stop or CapOnly()
     if mode is PolarMode.PACKING and np.min(c) < 0:

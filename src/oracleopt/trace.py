@@ -107,6 +107,8 @@ def drive(step, observe, stop: StopRule, max_iters: int, c, cuts):
     an LP value, it gets the objective and `cuts`, the solver's growing list
     of separated rows.  Returns (trace, converged).
     """
+    if max_iters < 0:
+        raise ValueError("max_iters must be >= 0")
 
     def lp_value(t: int) -> Optional[float]:
         return stop.lp_value(c, cuts) if stop.lp_due(t) else None

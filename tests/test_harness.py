@@ -152,7 +152,7 @@ class TestRunExperiment:
         config = load_config(None, dict(overrides, method="general", out=""))
         summary_row, _ = run_experiment(config)
         assert summary_row.converged
-        instance = build_instance(config, need_opt=True)
+        instance = build_instance(config)
         res = run_general(
             instance.oracle,
             instance.c,
@@ -338,7 +338,7 @@ class TestSharedInstance:
         steps = list(kept.path)
         for _ in range(2):
             run_experiment(load_config(None, dict(base, method="cutloop")))
-        fresh = build_instance(load_config(None, base), need_opt=True)
+        fresh = build_instance(load_config(None, base))
         stop = LPStop(fresh.opt_ref, fresh.initial_rows, fresh.lb)
         ref = cut_loop(fresh.oracle, fresh.c, fresh.initial_rows, lb=fresh.lb, stop=stop)
         assert len(builds) == 1 and ref.cuts  # the three runs shared one instance
@@ -354,6 +354,20 @@ class TestSharedInstance:
         assert len(kept.path) == len(steps) > 0
         assert all(map(operator.is_, kept.path, steps))
         assert all(isinstance(step, lp_baseline._Step) for step in kept.path)
+
+    def test_reference_optimum_is_computed_on_first_use(self, builds, monkeypatch):
+        optima = []
+        for name in ("brute_force_matching_opt", "clique_relaxation_opt"):
+            real = getattr(combinatorial, name)
+            monkeypatch.setattr(
+                combinatorial, name, lambda g, real=real: optima.append(real(g)) or optima[-1]
+            )
+        base = dict(SWEEP_GRAPHS["matching"], triangles=10, out="")
+        capped = run_experiment(load_config(None, dict(base, stop="cap", iters=5)))[0]
+        assert optima == [] and capped.iterations == 5
+        run_experiment(load_config(None, dict(base, init="optimal")))
+        [instance] = builds  # the optimal-init run reused the cap run's instance
+        assert optima == [instance.opt_ref] and instance.opt_ref > 0
 
     def test_sweep_solves_the_initial_lp_once(self, builds, monkeypatch):
         solves = []

@@ -383,6 +383,18 @@ class TestSolveLP:
         with pytest.raises(UnboundedLPError, match="no blocking row"):
             solve_lp(LinearProgram(objective=np.array([0.0, 1.0])))
 
+    @pytest.mark.parametrize(
+        "rows, length",
+        [
+            ([Constraint([1.0], 1.0), Constraint([2.0], 4.0)], 1),  # stacks to one 2-entry row
+            ([Constraint([1.0], 1.0)], 1),
+            ([Constraint(np.ones(4), 1.0), Constraint(np.arange(4.0), 4.0)], 4),
+        ],
+    )
+    def test_rows_of_another_length_are_rejected(self, rows, length):
+        with pytest.raises(ValueError, match=f"a row has {length} entries, the objective 2"):
+            solve_lp(LinearProgram([1.0, 1.0], rows))
+
     def test_matches_scalar_reference_bit_for_bit(self):
         rng = np.random.default_rng(2024)
         seen = {}
@@ -563,7 +575,7 @@ class TestCutLoop:
     ])
     def test_first_lp_stands_in_for_the_cold_solve(self, fields, monkeypatch):
         config = harness.load_config(None, dict(fields, out=""))
-        instance = harness.build_instance(config, need_opt=True)
+        instance = harness.build_instance(config)
         stop = LPStop(instance.opt_ref, instance.initial_rows, instance.lb)
         args = (instance.oracle, instance.c, instance.initial_rows)
         kwargs = dict(lb=instance.lb, stop=stop, max_iters=30)
@@ -796,12 +808,8 @@ def replay(runs, seeded, memo):
 def seeded_lp(problem, **fields):
     """The LP over an instance's initial rows and its read-only cold solve."""
     config = harness.load_config(None, dict(fields, problem=problem, out=""))
-    instance = harness.build_instance(config, need_opt=False)
-    lp = LinearProgram(instance.c, list(instance.initial_rows), lb=instance.lb)
-    res = solve_lp(lp)
-    for array in res.final:
-        array.flags.writeable = False
-    return lp, res
+    instance = harness.build_instance(config)
+    return instance.lp(), instance.initial_lp
 
 
 class TestLPStopMemo:
@@ -890,8 +898,8 @@ class TestLPStopMemo:
             monkeypatch.setattr(LPStop, "lp_value", real)
             key = tuple(getattr(harness.load_config(None, fields), name)
                         for name in harness._INSTANCE_FIELDS) + (None,)
-            memo = harness._shared_instance(key, True).lp_memo
-            root = harness._shared_instance(key, True).initial_lp.final[0].shape[0]
+            memo = harness._shared_instance(key).lp_memo
+            root = harness._shared_instance(key).initial_lp.final[0].shape[0]
             assert all(f[0].shape[0] - root <= lp_baseline._MEMO_DEPTH for _, f, _ in memo.values())
             sizes[budget] = sum(f[0].nbytes for _, f, _ in memo.values()), values
         (kept, values), (unbounded, unbounded_values) = sizes.values()
@@ -959,7 +967,7 @@ def resumes(monkeypatch):
 
 def instance_cut_loop(problem, max_iters=1000, **fields):
     config = harness.load_config(None, dict(problem=problem, out="", **fields))
-    instance = harness.build_instance(config, need_opt=True)
+    instance = harness.build_instance(config)
     stop = LPStop(instance.opt_ref, instance.initial_rows, instance.lb)
     return cut_loop(
         instance.oracle, instance.c, instance.initial_rows, lb=instance.lb, stop=stop,
@@ -1017,7 +1025,7 @@ class TestResumedCutLoop:
         config = harness.load_config(
             None, dict(problem="stableset", nodes=16, density=0.55, seed=0, out="")
         )
-        instance = harness.build_instance(config, need_opt=True)
+        instance = harness.build_instance(config)
         first = solve_lp(LinearProgram(instance.c, list(instance.initial_rows), lb=instance.lb))
         resumes, stops = [], []
         real_resume, real_branch = lp_baseline._resume, lp_baseline._Path.branch

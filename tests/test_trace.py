@@ -1,5 +1,6 @@
 """The shared run loop: golden traces and its stop-rule edge cases."""
 
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from oracleopt.combinatorial import (
 )
 from oracleopt import lp_baseline
 from oracleopt.harness import load_config, run_experiment
-from oracleopt.lp_baseline import LPStop
+from oracleopt.lp_baseline import LPStop, cut_loop
 from oracleopt.solver_general import run_general
 from oracleopt.solver_polar import PolarMode, run_polar
 
@@ -113,3 +114,16 @@ def test_initial_rows_meeting_the_lp_rule_cost_no_iterations(method):
     assert res.converged
     assert res.iterations == 0
     assert len(res.trace) == 0
+
+
+
+@pytest.mark.parametrize("method", ["cutloop", "polar", "general"])
+def test_negative_iteration_cap_is_rejected(method):
+    args = _matching_run_args(generate_triangle_instance(9, 3, 0))
+    run = functools.partial(cut_loop, **args) if method == "cutloop" else functools.partial(
+        _run, method, **args
+    )
+    for cap in (-1, -3):
+        with pytest.raises(ValueError, match="max_iters must be >= 0"):
+            run(max_iters=cap)
+    assert len(run(max_iters=0).trace) == 0  # a cap of 0 stays valid
