@@ -22,6 +22,7 @@ from .geometry import as_vector
 from .oracle import Constraint, ConstraintForm
 
 _DECOMP_TOL = 1e-6
+_SETTINGS = ("polar", "packing", "general")
 
 
 class StaleDecompositionError(Exception):
@@ -36,7 +37,7 @@ class CertificateUnavailableError(Exception):
 class DualCertificate:
     """Explicit proof that <c, x> <= claimed_bound holds on K."""
 
-    setting: str  # "polar" | "packing" | "general"
+    setting: str  # one of _SETTINGS; slack on -x_i <= 0 rows is valid only in "packing"
     objective: np.ndarray
     rows: list[tuple[Constraint, float]]
     ball_normal: np.ndarray  # unit vector
@@ -56,6 +57,7 @@ class VerifyReport:
     bound_above_gamma: bool
     ball_row_valid: bool
     slack_nonneg: bool = True
+    slack_in_packing: bool = True
     rows_in_history: bool = True
     max_normal_error: float = 0.0
     rhs_margin: float = 0.0
@@ -192,8 +194,15 @@ def verify_certificate(
     Checks: all multipliers are nonnegative, the aggregated normal equals the
     objective, the aggregated right-hand side stays below the claimed bound,
     the bound dominates the reported incumbent value, and the ball row is
-    valid for the enclosing ball.  Optionally confirms that every used row
-    appears in the supplied constraint history.
+    valid for the enclosing ball.  Slack on the rows -x_i <= 0 is allowed
+    only in the packing setting, whose bodies lie in the orthant.
+
+    Optionally confirms that every used row appears in the supplied
+    constraint history: within 1e-9 absolute on b, and by np.isclose with
+    atol=1e-9 on a.  A row with a bit-identical twin in the history is found
+    by a hash lookup; only the other rows are scanned against the whole
+    history, so checking a certificate read back from text (every row then
+    has a twin) costs time linear in the history.
     """
     c = as_vector(c) if c is not None else cert.objective
     R = cert.R if R is None else R
@@ -208,6 +217,7 @@ def verify_certificate(
         normal = normal + m * cons.a
         rhs += m * cons.b
     slack_nonneg = True
+    slack_in_packing = cert.nonneg_slack is None or cert.setting == "packing"
     if cert.nonneg_slack is not None:
         slack_nonneg = bool(np.min(cert.nonneg_slack) >= -1e-9)
         normal = normal - cert.nonneg_slack  # multipliers on -x_i <= 0 rows
@@ -223,11 +233,19 @@ def verify_certificate(
     rows_in_history = True
     if constraint_history is not None:
         history = list(constraint_history)
-        ha = np.array([h.a for h in history])
-        hb = np.array([h.b for h in history])
+        # A twin passes the scan below only when it is finite (inf - inf is
+        # NaN, and NaN is close to nothing); every used row is finite when
+        # the aggregation is.
+        twins = set()
+        if np.isfinite(normal).all() and np.isfinite(rhs):
+            twins = {(h.b, h.a.tobytes()) for h in history}
+        ha = hb = None
         for cons, m in cert.rows:
-            if m == 0.0:
+            if m == 0.0 or (cons.b, cons.a.tobytes()) in twins:
                 continue
+            if ha is None:
+                ha = np.array([h.a for h in history])
+                hb = np.array([h.b for h in history])
             if not history or not (
                 np.isclose(cons.a, ha, atol=1e-9).all(axis=1) & (np.abs(cons.b - hb) <= 1e-9)
             ).any():
@@ -241,6 +259,7 @@ def verify_certificate(
         bound_above_gamma=bound_above_gamma,
         ball_row_valid=ball_row_valid,
         slack_nonneg=slack_nonneg,
+        slack_in_packing=slack_in_packing,
         rows_in_history=rows_in_history,
         max_normal_error=max_err,
         rhs_margin=float(rhs_margin),
@@ -288,11 +307,15 @@ def _parse_vec(text: str) -> np.ndarray:
 
 
 def certificate_from_text(text: str) -> DualCertificate:
-    """Parse certificate_to_text's format; a malformed file raises ValueError naming its fault."""
+    """Parse certificate_to_text's format; a malformed file raises ValueError naming its fault.
+
+    Each row, slack index and scalar line may appear once; multiplier lines
+    may repeat, since their multipliers simply add up.
+    """
     values: dict[str, str] = {}
     multipliers: list[tuple[str, float]] = []
     rows: dict[str, Constraint] = {}
-    slack_entries: list[tuple[int, float]] = []
+    slack_entries: dict[int, float] = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -302,16 +325,22 @@ def certificate_from_text(text: str) -> DualCertificate:
             if key == "multiplier":
                 name, val = rest.rsplit(" ", 1)
                 multipliers.append((name, float(val)))
-            elif key == "slack":
+                continue
+            if key == "slack":
                 idx, val = rest.split()
-                slack_entries.append((int(idx), float(val)))
+                name, value = int(idx), float(val)
+                table, what = slack_entries, f"slack index {name}"
             elif key == "row":
                 name, b, a = rest.split(maxsplit=2)
-                rows[name] = Constraint(_parse_vec(a), float(b), ConstraintForm.RAW, name)
+                value = Constraint(_parse_vec(a), float(b), ConstraintForm.RAW, name)
+                table, what = rows, f"row {name!r}"
             else:
-                values[key] = rest
+                table, name, value, what = values, key, rest, f"the {key!r} line"
         except ValueError:
             raise ValueError(f"malformed line {line!r}") from None
+        if name in table:
+            raise ValueError(f"the certificate repeats {what}")
+        table[name] = value
 
     def field(key: str, parse=str):
         if key not in values:
@@ -331,15 +360,20 @@ def certificate_from_text(text: str) -> DualCertificate:
     for name, _ in multipliers:
         if name not in rows:
             raise ValueError(f"multiplier names row {name!r}, which the certificate does not list")
+    setting = field("setting")
+    if setting not in _SETTINGS:
+        raise ValueError(f"unknown setting {setting!r}; expected one of {', '.join(_SETTINGS)}")
     slack = None
-    if slack_entries or field("setting") == "packing":
+    if setting == "packing":
         slack = np.zeros(dim)
-        for i, s in slack_entries:
+        for i, s in slack_entries.items():
             if not 0 <= i < dim:
                 raise ValueError(f"slack index {i} is outside the dimension {dim}")
             slack[i] = s
+    elif slack_entries:
+        raise ValueError(f"slack lines need the packing setting, not {setting!r}")
     return DualCertificate(
-        setting=field("setting"),
+        setting=setting,
         objective=objective,
         rows=[(rows[name], mult) for name, mult in multipliers],
         ball_normal=ball_normal,

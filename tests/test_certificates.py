@@ -1,9 +1,18 @@
+import contextlib
 import dataclasses
 
 import numpy as np
 import pytest
 
 from oracleopt import certificates
+from oracleopt.combinatorial import (
+    MatchingOracle,
+    StableSetOracle,
+    generate_triangle_instance,
+    matching_initial_rows,
+    random_gnp,
+    stableset_initial_rows,
+)
 from oracleopt.certificates import (
     CertificateUnavailableError,
     DualCertificate,
@@ -26,13 +35,13 @@ def ball_run(max_iters=300):
     return run_polar(oracle, [1.0, 0.0], gamma1=0.5, stop=GapStop(0.01), max_iters=max_iters)
 
 
-def corrective_run(setting, seed):
+def corrective_run(setting, seed, scale=1.0):
     """A fully corrective run on a random polytope in R^5, and its certificate's
     rows with every zero-weight atom kept, in atom order.
 
     The polytope is 20 named unit-normal halfspaces <a, x> <= 1 plus a box:
     [-1, 1]^5 for the polar and general settings, [0, 1]^5 with nonnegative
-    normals for packing.
+    normals for packing.  The objective is drawn in [0.1, 1]^5 times `scale`.
     """
     n = 5
     rng = np.random.default_rng(seed)
@@ -44,7 +53,7 @@ def corrective_run(setting, seed):
     rows = [Constraint(a, 1.0, name=f"half:{i}") for i, a in enumerate(normals)]
     lo = np.zeros(n) if packing else -np.ones(n)
     oracle = PolytopeOracle(rows, box_bounds=(lo, np.ones(n)), radius_outer=float(np.sqrt(n)))
-    c = rng.uniform(0.1, 1.0, n)
+    c = scale * rng.uniform(0.1, 1.0, n)
     options = dict(stop=GapStop(0.01), max_iters=3000, strategy=fully_corrective(1))
     if setting == "general":
         res = run_general(oracle, c, **options)
@@ -54,6 +63,22 @@ def corrective_run(setting, seed):
     res = run_polar(oracle, c, gamma1=0.1 if packing else None, mode=mode, **options)
     state = res.state
     return res, [(atom, state.gamma * w) for atom, w in zip(state.atoms.rows, state.weights)]
+
+
+def combinatorial_fc1_run(problem):
+    """A fully corrective packing run to a 5% gap on a small matching or stable-set instance."""
+    if problem == "matching":
+        graph = generate_triangle_instance(12, 4, 2)
+        oracle, rows = MatchingOracle(graph, max_set_size=11), matching_initial_rows(graph, "basic")
+        d = graph.n_edges
+    else:
+        graph = random_gnp(12, 0.55, 0)
+        oracle, rows = StableSetOracle(graph), stableset_initial_rows(graph, "basic")
+        d = graph.n_nodes
+    return run_polar(
+        oracle, np.ones(d), gamma1=1.0, stop=GapStop(0.05), max_iters=500,
+        strategy=fully_corrective(1), mode=PolarMode.PACKING, initial_constraints=rows,
+    )
 
 
 SETTINGS = ("polar", "packing", "general")
@@ -147,6 +172,15 @@ class TestVerifyCertificate:
         assert verify_certificate(cert, constraint_history=history).passed
         assert not verify_certificate(cert, constraint_history=history[:1]).rows_in_history
 
+    @staticmethod
+    def pairwise_reference(rows, history):
+        """The scalar reference: one np.allclose per (used row, history row) pair."""
+        return all(
+            any(np.allclose(cons.a, h.a, atol=1e-9) and abs(cons.b - h.b) <= 1e-9 for h in history)
+            for cons, m in rows
+            if m != 0
+        )
+
     @pytest.mark.parametrize(
         "case, expected",
         [
@@ -158,6 +192,8 @@ class TestVerifyCertificate:
             ("zero_multiplier_row_absent", True),
             ("tiny_multiplier_row_absent", False),
             ("empty_history", False),
+            ("minus_zero_twin", True),  # equal values, other bits
+            ("inf_rhs_twin", False),  # the row itself is in the history, but inf is close to nothing
         ],
     )
     def test_history_check_matches_pairwise_allclose(self, case, expected):
@@ -182,20 +218,104 @@ class TestVerifyCertificate:
             history = history[:2]
         elif case == "empty_history":
             history = []
+        elif case == "minus_zero_twin":
+            history[0] = Constraint(np.array([1.0, -0.0]), 1.0)
+        elif case == "inf_rhs_twin":
+            rows[0] = (Constraint(np.array([1.0, 0.0]), np.inf), 0.5)
+            history[0] = rows[0][0]
         normal = 0.5 * np.array([1.0, 0.0]) + 0.5 * np.array([0.6, 0.8])
         cert = DualCertificate(
             setting="polar", objective=normal, rows=rows, ball_normal=np.array([1.0, 0.0]),
             ball_rhs=1.0, ball_coefficient=0.0, claimed_bound=1.0, gamma=1.0, R=1.0,
         )
-        # The scalar reference: one np.allclose per (used row, history row) pair.
-        reference = all(
-            any(np.allclose(cons.a, h.a, atol=1e-9) and abs(cons.b - h.b) <= 1e-9 for h in history)
-            for cons, m in rows
-            if m != 0
-        )
-        assert reference is expected
-        report = verify_certificate(cert, constraint_history=history)
+        assert self.pairwise_reference(rows, history) is expected
+        # The scan computes inf - inf for the inf_rhs twin; no other case may warn.
+        quiet = np.errstate(invalid="ignore") if case == "inf_rhs_twin" else contextlib.nullcontext()
+        with quiet:
+            report = verify_certificate(cert, constraint_history=history)
         assert report == dataclasses.replace(verify_certificate(cert), rows_in_history=expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_history_lookup_matches_pairwise_allclose_on_random_histories(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 4
+
+        def draw():
+            a = rng.standard_normal(n)
+            a[rng.random(n) < 0.3] = 0.0
+            a[rng.integers(n)] = 0.0  # every row has a zero entry to flip or nudge
+            return Constraint(a, rng.standard_normal())
+
+        base = [draw() for _ in range(30)]
+        kinds = ("twin", "minus_zero", "a_within", "a_beyond", "b_within", "b_beyond", "absent")
+
+        def used_row(kind):
+            if kind == "absent":
+                return draw()
+            h = base[rng.integers(len(base))]
+            a, b = h.a.copy(), h.b
+            zero = rng.choice(np.flatnonzero(a == 0.0))
+            if kind == "minus_zero":
+                a[a == 0.0] = -0.0
+            elif kind in ("a_within", "a_beyond"):
+                a[zero] = 0.5e-9 if kind == "a_within" else 2e-9
+            elif kind in ("b_within", "b_beyond"):
+                b += 0.5e-9 if kind == "b_within" else 2e-9
+            return Constraint(a, b)
+
+        outcomes = []
+        for _ in range(150):
+            history = [] if rng.random() < 0.1 else [h for h in base if rng.random() < 0.7]
+            rows = [
+                (used_row(kind), 0.0 if rng.random() < 0.2 else rng.uniform(0.1, 1.0))
+                for kind in rng.choice(kinds, size=rng.integers(1, 4))
+            ]
+            normal = sum(m * cons.a for cons, m in rows)
+            cert = DualCertificate(
+                setting="polar", objective=normal, rows=rows, ball_normal=np.array([1.0, 0, 0, 0]),
+                ball_rhs=1.0, ball_coefficient=0.0, claimed_bound=10.0, gamma=1.0, R=1.0,
+            )
+            expected = self.pairwise_reference(rows, history)
+            report = verify_certificate(cert, constraint_history=history)
+            assert report == dataclasses.replace(verify_certificate(cert), rows_in_history=expected)
+            outcomes.append(expected)
+        assert 0 < sum(outcomes) < len(outcomes)
+
+    def test_row_of_another_length_raises_as_before(self):
+        row = Constraint([1.0, 0.0, 0.0], 1.0)
+        cert = DualCertificate(
+            setting="polar", objective=row.a, rows=[(row, 1.0)], ball_normal=row.a,
+            ball_rhs=1.0, ball_coefficient=0.0, claimed_bound=1.0, gamma=1.0, R=1.0,
+        )
+        assert verify_certificate(cert).passed
+        with pytest.raises(ValueError):
+            verify_certificate(cert, constraint_history=[Constraint([1.0, 0.0], 1.0)])
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_rows_with_exact_twins_are_found_without_a_scan(self, setting, monkeypatch):
+        res, _ = corrective_run(setting, 0)
+        cert = certificate_from_text(certificate_to_text(res.certificate))
+        history = res.state.atoms.rows
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("np.isclose scanned the history")
+
+        monkeypatch.setattr(certificates.np, "isclose", no_scan)
+        assert verify_certificate(cert, constraint_history=history).passed
+
+    def test_slack_outside_packing_fails(self):
+        # Slack alone "proves" max -x_1 <= 0 on any body, e.g. on the ball of
+        # radius 1 around (-5, 0), whose maximum is 6 at (-6, 0).
+        forged = DualCertificate(
+            setting="general", objective=np.array([-1.0, 0.0]), rows=[],
+            ball_normal=np.array([1.0, 0.0]), ball_rhs=6.0, ball_coefficient=0.0,
+            claimed_bound=0.0, gamma=0.0, R=6.0, nonneg_slack=np.array([1.0, 0.0]),
+        )
+        assert forged.objective @ np.array([-6.0, 0.0]) > forged.claimed_bound
+        report = verify_certificate(forged)
+        assert not report.passed and report.failures() == ["slack_in_packing"]
+        # On a packing body, which lies in the orthant, the same slack is sound.
+        assert verify_certificate(dataclasses.replace(forged, setting="packing")).passed
 
     def test_soundness_against_dense_sample(self):
         rng = np.random.default_rng(61)
@@ -299,6 +419,29 @@ class TestSerialization:
         twice = dataclasses.replace(cert, rows=[rows[0], rows[0]], objective=np.array([2.0, 0.0]))
         back = certificate_from_text(certificate_to_text(twice))
         assert verify_certificate(back).passed and len(back.rows) == 2
+
+    @pytest.mark.parametrize(
+        "source", ["matching_polar_fc1", "stableset_polar_fc1", "general_polytope", "polar_c_1e8"]
+    )
+    def test_text_round_trip_is_bit_exact(self, source):
+        if source == "matching_polar_fc1":
+            cert = combinatorial_fc1_run("matching").certificate
+        elif source == "stableset_polar_fc1":
+            cert = combinatorial_fc1_run("stableset").certificate
+        elif source == "general_polytope":
+            cert = corrective_run("general", 0)[0].certificate
+        else:
+            cert = corrective_run("polar", 0, scale=1e8)[0].certificate
+        text = certificate_to_text(cert)
+        back = certificate_from_text(text)
+        assert certificate_to_text(back) == text
+        assert (back.nonneg_slack is None) == (cert.setting != "packing")
+        if back.nonneg_slack is not None:
+            assert back.nonneg_slack.tobytes() == cert.nonneg_slack.tobytes()
+        assert len(back.rows) == len(cert.rows) > 0
+        for (got, got_m), (want, want_m) in zip(back.rows, cert.rows):
+            assert got.a.tobytes() == want.a.tobytes()
+            assert (got.b.hex(), got_m.hex()) == (want.b.hex(), float(want_m).hex())
 
     @staticmethod
     def per_element_fmt_vec(v):

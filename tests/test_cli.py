@@ -340,10 +340,16 @@ def _replace_line(start, new):
         (_replace_line("R", "R one"), "the R line 'one' is not numeric"),
         (_replace_line("gamma", "gamma one"), "the gamma line 'one' is not numeric"),
         (_replace_line("dimension", "dimension 4.5"), "the dimension line '4.5' is not numeric"),
+        (lambda lines, name: lines + [f"row {name} 99 0"], "the certificate repeats row {name!r}"),
+        (lambda lines, name: lines + ["ball-rhs 99"], "the certificate repeats the 'ball-rhs' line"),
+        (lambda lines, name: lines + ["slack 0 0.5"], "the certificate repeats slack index 0"),
+        (_replace_line("setting", "setting conic"),
+         "unknown setting 'conic'; expected one of polar, packing, general"),
     ],
     ids=["absent_row", "short_row", "slack_index", "no_dimension", "row_without_values",
          "multiplier_without_value", "slack_without_value", "nonnumeric_R", "nonnumeric_gamma",
-         "nonnumeric_dimension"],
+         "nonnumeric_dimension", "repeated_row", "repeated_scalar", "repeated_slack",
+         "unknown_setting"],
 )
 def test_verify_names_the_fault_of_a_malformed_certificate(corrupt, message, tmp_path, capsys):
     graph = generate_triangle_instance(9, 3, 0)
@@ -355,6 +361,34 @@ def test_verify_names_the_fault_of_a_malformed_certificate(corrupt, message, tmp
     assert main(["verify", "--certificate", str(tmp_path / "run.cert")]) == 1
     err = capsys.readouterr().err
     assert err == "error: " + message.format(name=name, d=d, short=d - 1) + "\n"
+
+
+def test_verify_rejects_slack_outside_packing(tmp_path, capsys):
+    # Slack alone "proves" max -x_1 <= 0 on any body, e.g. on the ball of
+    # radius 1 around (-5, 0), whose maximum is 6; only packing bodies lie in
+    # the orthant, where the rows -x_i <= 0 hold.
+    forged = textwrap.dedent("""\
+        oracle-opt-certificate 1
+        setting {setting}
+        dimension 2
+        objective -1 0
+        R 6
+        gamma 0
+        claimed-bound 0
+        ball-normal 1 0
+        ball-rhs 6
+        ball-coefficient 0
+        slack 0 1
+        """)
+    path = tmp_path / "forged.cert"
+    for setting, code, err in (
+        ("general", 1, "error: slack lines need the packing setting, not 'general'\n"),
+        ("packing", 0, ""),
+    ):
+        path.write_text(forged.format(setting=setting))
+        capsys.readouterr()
+        assert main(["verify", "--certificate", str(path)]) == code
+        assert capsys.readouterr().err == err
 
 
 def test_verify_without_instance_says_only_self_consistency_was_checked(tmp_path, capsys):
