@@ -6,8 +6,8 @@ dominates the objective and therefore proves an upper bound on the optimum.
 It lists only the rows with a nonzero multiplier, since a zero row adds
 nothing to the aggregation (corrective steps leave most atoms at zero).
 Verification recomputes the aggregation from scratch, checks every listed
-row and never trusts solver internals; serialized certificates carry their
-rows so a third party can check them with no solver code.
+row and never trusts solver internals.  The text form writes each row on one
+line with its multiplier, so a third party can check it with no solver code.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import as_vector
-from .oracle import Constraint, ConstraintForm
+from .oracle import Constraint
 
 _DECOMP_TOL = 1e-6
 _SETTINGS = ("polar", "packing", "general")
@@ -267,6 +267,9 @@ def verify_certificate(
 
 
 _fmt = "{:.17g}".format
+_HEADER = "oracle-opt-certificate 2"
+_KEYS = frozenset(("setting", "dimension", "objective", "R", "gamma", "claimed-bound",
+                   "ball-normal", "ball-rhs", "ball-coefficient", "slack", "row"))
 
 
 def _fmt_vec(v: np.ndarray) -> str:
@@ -274,12 +277,13 @@ def _fmt_vec(v: np.ndarray) -> str:
 
 
 def certificate_to_text(cert: DualCertificate) -> str:
-    """Flat-text serialization: multipliers by constraint id plus the rows."""
+    """Flat text, format 2: the header and scalar lines, the slack, then one line
+    `row <name> <multiplier> <b> <a_1> ... <a_n>` per row of cert.rows, in order.
+    An unnamed row is written as row<i>; a name with whitespace raises ValueError."""
     out = io.StringIO()
-    dim = cert.objective.shape[0]
-    out.write("oracle-opt-certificate 1\n")
+    out.write(f"{_HEADER}\n")
     out.write(f"setting {cert.setting}\n")
-    out.write(f"dimension {dim}\n")
+    out.write(f"dimension {cert.objective.shape[0]}\n")
     out.write(f"objective {_fmt_vec(cert.objective)}\n")
     out.write(f"R {_fmt(cert.R)}\n")
     out.write(f"gamma {_fmt(cert.gamma)}\n")
@@ -287,18 +291,14 @@ def certificate_to_text(cert: DualCertificate) -> str:
     out.write(f"ball-normal {_fmt_vec(cert.ball_normal)}\n")
     out.write(f"ball-rhs {_fmt(cert.ball_rhs)}\n")
     out.write(f"ball-coefficient {_fmt(cert.ball_coefficient)}\n")
-    named = {}
-    for i, (cons, mult) in enumerate(cert.rows):
-        name = cons.name or f"row{i}"
-        kept = named.setdefault(name, cons)
-        if kept is not cons and (kept.b != cons.b or not np.array_equal(kept.a, cons.a)):
-            raise ValueError(f"two different certificate rows are named {name!r}")
-        out.write(f"multiplier {name} {_fmt(mult)}\n")
     if cert.nonneg_slack is not None:
         for i, s in enumerate(cert.nonneg_slack):
             out.write(f"slack {i} {_fmt(s)}\n")
-    for name, cons in named.items():
-        out.write(f"row {name} {_fmt(cons.b)} {_fmt_vec(cons.a)}\n")
+    for i, (cons, mult) in enumerate(cert.rows):
+        name = cons.name or f"row{i}"
+        if name.split() != [name]:
+            raise ValueError(f"the row name {name!r} is not one token without whitespace")
+        out.write(f"row {name} {_fmt(mult)} {_fmt(cons.b)} {_fmt_vec(cons.a)}\n")
     return out.getvalue()
 
 
@@ -307,33 +307,31 @@ def _parse_vec(text: str) -> np.ndarray:
 
 
 def certificate_from_text(text: str) -> DualCertificate:
-    """Parse certificate_to_text's format; a malformed file raises ValueError naming its fault.
+    """Parse format 2 as certificate_to_text writes it; else raise ValueError naming the fault.
 
-    Each row, slack index and scalar line may appear once; multiplier lines
-    may repeat, since their multipliers simply add up.
+    Past blank and `#` lines the header comes first.  Each scalar line appears
+    once, a slack index at most once and only in the packing setting, and any
+    other key is refused.  Rows that share a name are separate rows.
     """
+    header, *lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"] or [""]
+    if header != _HEADER:
+        raise ValueError(f"the first line must be {_HEADER!r}, not {header!r}")
     values: dict[str, str] = {}
-    multipliers: list[tuple[str, float]] = []
-    rows: dict[str, Constraint] = {}
+    rows: list[tuple[Constraint, float]] = []
     slack_entries: dict[int, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in lines:
         key, _, rest = line.partition(" ")
+        if key not in _KEYS:
+            raise ValueError(f"unknown line {line!r}")
         try:
-            if key == "multiplier":
-                name, val = rest.rsplit(" ", 1)
-                multipliers.append((name, float(val)))
+            if key == "row":
+                name, mult, b, a = rest.split(maxsplit=3)
+                rows.append((Constraint(_parse_vec(a), float(b), name=name), float(mult)))
                 continue
             if key == "slack":
                 idx, val = rest.split()
                 name, value = int(idx), float(val)
                 table, what = slack_entries, f"slack index {name}"
-            elif key == "row":
-                name, b, a = rest.split(maxsplit=2)
-                value = Constraint(_parse_vec(a), float(b), ConstraintForm.RAW, name)
-                table, what = rows, f"row {name!r}"
             else:
                 table, name, value, what = values, key, rest, f"the {key!r} line"
         except ValueError:
@@ -354,12 +352,9 @@ def certificate_from_text(text: str) -> DualCertificate:
     objective = field("objective", _parse_vec)
     ball_normal = field("ball-normal", _parse_vec)
     vectors = [("objective", objective), ("ball-normal", ball_normal)]
-    for label, vec in vectors + [(f"row {name!r}", cons.a) for name, cons in rows.items()]:
+    for label, vec in vectors + [(f"row {cons.name!r}", cons.a) for cons, _ in rows]:
         if vec.shape[0] != dim:
             raise ValueError(f"{label} has {vec.shape[0]} entries, but the dimension is {dim}")
-    for name, _ in multipliers:
-        if name not in rows:
-            raise ValueError(f"multiplier names row {name!r}, which the certificate does not list")
     setting = field("setting")
     if setting not in _SETTINGS:
         raise ValueError(f"unknown setting {setting!r}; expected one of {', '.join(_SETTINGS)}")
@@ -375,7 +370,7 @@ def certificate_from_text(text: str) -> DualCertificate:
     return DualCertificate(
         setting=setting,
         objective=objective,
-        rows=[(rows[name], mult) for name, mult in multipliers],
+        rows=rows,
         ball_normal=ball_normal,
         ball_rhs=field("ball-rhs", float),
         ball_coefficient=field("ball-coefficient", float),

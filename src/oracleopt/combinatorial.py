@@ -68,12 +68,6 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.n_nodes, self.n_nodes), dtype=bool)
-        for u, v in self.edges:
-            adj[u, v] = adj[v, u] = True
-        return adj
-
     @functools.cached_property
     def ends(self) -> np.ndarray:
         """Edge ends as a read-only (2, n_edges) index array."""
@@ -523,10 +517,10 @@ def instance_row(graph: Graph, problem: str, name: str) -> Constraint | None:
         if kind == "oddset" and len(set(nodes)) == len(nodes) >= 3 and len(nodes) % 2:
             return oddset_constraint(graph, nodes)
     elif problem == "stableset":
-        adj = graph.adjacency()
-        if kind == "edge" and len(nodes) == 2 and adj[nodes[0], nodes[1]]:
+        nbr = graph.neighbours
+        if kind == "edge" and len(nodes) == 2 and nbr[nodes[0]] >> nodes[1] & 1:
             return clique_constraint(graph, nodes)
-        if kind == "clique" and all(adj[u, v] for u in nodes for v in nodes if u != v):
+        if kind == "clique" and all(nbr[u] >> v & 1 for u in nodes for v in nodes if u != v):
             return clique_constraint(graph, nodes)
     return None
 

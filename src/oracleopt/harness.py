@@ -108,7 +108,12 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         nonlocal config
         if name not in known:
             raise ValueError(f"unknown config key {name!r} ({source})")
-        config = replace(config, **{name: type(known[name])(raw)})
+        kind = type(known[name])
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise ValueError(f"{source}: {name} must be {kind.__name__}, not {raw!r}") from None
+        config = replace(config, **{name: value})
 
     if path:
         with open(path, encoding="utf-8") as fh:

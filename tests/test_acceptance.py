@@ -32,6 +32,7 @@ from oracleopt.solver_general import run_general
 from oracleopt.solver_polar import PolarMode, run_polar
 from oracleopt.trace import CapOnly
 
+from test_combinatorial import adjacency
 from test_lp_baseline import bound_rows, enumerate_vertices_value
 
 logging.disable(logging.WARNING)
@@ -252,7 +253,7 @@ def test_criterion_5_oracle_exactness():
             # stable-set side: any nonnegative node weights
             w = rng.uniform(0.0, 1.0, size=n)
             weight, clique = max_weight_clique(graph, w)
-            adj = graph.adjacency()
+            adj = adjacency(graph)
             assert all(adj[u, v] for u in clique for v in clique if u != v)
             ref_w = max(
                 (float(sum(w[v] for v in c)) for c in enumerate_maximal_cliques(graph)),

@@ -403,22 +403,24 @@ class TestSerialization:
         assert verify_certificate(back).passed
 
     @pytest.mark.parametrize("first, second", [("x", "x"), ("", "row0")], ids=["two_x", "row0"])
-    def test_rows_sharing_a_written_name_are_refused(self, first, second):
-        # Unnamed rows are written as row{i}, so the second case clashes too.
+    def test_rows_sharing_a_written_name_round_trip(self, first, second):
+        # Unnamed rows are written as row{i}, so both cases write one name
+        # twice; each row line stands alone, so both rows come back.
         rows = [(Constraint([1.0, 0.0], 1.0, name=first), 1.0),
                 (Constraint([0.0, 1.0], 1.0, name=second), 1.0)]
         cert = DualCertificate(
             setting="polar", objective=np.ones(2), rows=rows, ball_normal=np.array([1.0, 0.0]),
             ball_rhs=1.0, ball_coefficient=0.0, claimed_bound=2.0, gamma=1.0, R=1.0,
         )
-        assert verify_certificate(cert).passed
-        clash = f"two different certificate rows are named '{first or second}'"
-        with pytest.raises(ValueError, match=clash):
-            certificate_to_text(cert)
-        # One row listed twice is no clash.
-        twice = dataclasses.replace(cert, rows=[rows[0], rows[0]], objective=np.array([2.0, 0.0]))
-        back = certificate_from_text(certificate_to_text(twice))
-        assert verify_certificate(back).passed and len(back.rows) == 2
+        text = certificate_to_text(cert)
+        back = certificate_from_text(text)
+        assert [cons.name for cons, _ in back.rows] == [first or second] * 2
+        assert [(cons.a.tolist(), cons.b, m) for cons, m in back.rows] == [
+            (cons.a.tolist(), cons.b, m) for cons, m in rows
+        ]
+        assert verify_certificate(back).passed
+        assert verify_certificate(back, constraint_history=[cons for cons, _ in rows]).passed
+        assert certificate_to_text(back) == text
 
     @pytest.mark.parametrize(
         "source", ["matching_polar_fc1", "stableset_polar_fc1", "general_polytope", "polar_c_1e8"]
@@ -476,3 +478,44 @@ class TestSerialization:
         assert certificate_to_text(back) == text
         monkeypatch.setattr(certificates, "_fmt_vec", self.per_element_fmt_vec)
         assert certificate_to_text(cert) == text
+
+
+def third_party_check(text):
+    """Check a format-2 certificate in plain Python, as a reader with no solver code would:
+    the error of the aggregated normal, the aggregated right-hand side and the claimed bound."""
+    lines = [line.split() for line in text.splitlines() if line.strip()]
+    if lines[0] != ["oracle-opt-certificate", "2"]:
+        raise ValueError("not a format-2 certificate")
+    scalars = {key: [float(x) for x in rest] for key, *rest in lines if key in (
+        "objective", "ball-normal", "ball-rhs", "ball-coefficient", "claimed-bound")}
+    (coef,), (rhs,) = scalars["ball-coefficient"], scalars["ball-rhs"]
+    normal, rhs = [coef * x for x in scalars["ball-normal"]], coef * rhs
+    for key, *rest in lines:
+        if key == "slack":
+            normal[int(rest[0])] -= float(rest[1])
+        elif key == "row" and float(rest[1]) >= 0:
+            m, b, a = float(rest[1]), float(rest[2]), rest[3:]
+            normal, rhs = [n + m * float(x) for n, x in zip(normal, a)], rhs + m * b
+        elif key == "row":
+            raise ValueError("negative multiplier")
+    error = max(abs(n - c) for n, c in zip(normal, scalars["objective"]))
+    return error, rhs, scalars["claimed-bound"][0]
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_a_third_party_reader_checks_the_text(setting):
+    # The reader above imports nothing of oracleopt: the text alone proves the bound.
+    cert = corrective_run(setting, 0)[0].certificate
+    assert cert.setting == setting and len(cert.rows) > 1
+    text = certificate_to_text(cert)
+    error, rhs, claimed = third_party_check(text)
+    # verify_certificate's tolerances: the sum of the rows may round past the bound.
+    assert error <= 1e-6 and rhs <= claimed + 1e-6
+    assert claimed == cert.claimed_bound
+    assert error == pytest.approx(verify_certificate(cert).max_normal_error, abs=1e-12)
+    # Halving the largest multiplier breaks the aggregation the reader sees.
+    row = max((line for line in text.splitlines() if line.startswith("row ")),
+              key=lambda line: float(line.split()[2]))
+    name, m, rest = row[4:].split(" ", 2)
+    halved = text.replace(row, f"row {name} {float(m) / 2!r} {rest}")
+    assert third_party_check(halved)[0] > 1e-6

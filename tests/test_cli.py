@@ -308,10 +308,6 @@ def test_verify_checks_rows_with_tiny_multipliers(tmp_path, capsys):
     assert "rows not valid for the instance: degree:0" in out
 
 
-def _drop_row_line(lines, name):
-    return [line for line in lines if not line.startswith(f"row {name} ")]
-
-
 def _shorten_row_line(lines, name):
     return [line.rsplit(" ", 1)[0] if line.startswith(f"row {name} ") else line for line in lines]
 
@@ -326,36 +322,43 @@ def _replace_line(start, new):
     return corrupt
 
 
+HEADER = "oracle-opt-certificate 2"
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_drop_row_line, "multiplier names row {name!r}, which the certificate does not list"),
         (_shorten_row_line, "row {name!r} has {short} entries, but the dimension is {d}"),
         (lambda lines, name: lines + ["slack 99 0.5"], "slack index 99 is outside the dimension {d}"),
         (lambda lines, name: [x for x in lines if not x.startswith("dimension ")],
          "certificate has no 'dimension' line"),
         (_replace_line("row {name}", "row {name}"), "malformed line 'row {name}'"),
-        (_replace_line("multiplier {name}", "multiplier {name}"), "malformed line 'multiplier {name}'"),
         (lambda lines, name: lines + ["slack 0"], "malformed line 'slack 0'"),
         (_replace_line("R", "R one"), "the R line 'one' is not numeric"),
         (_replace_line("gamma", "gamma one"), "the gamma line 'one' is not numeric"),
         (_replace_line("dimension", "dimension 4.5"), "the dimension line '4.5' is not numeric"),
-        (lambda lines, name: lines + [f"row {name} 99 0"], "the certificate repeats row {name!r}"),
         (lambda lines, name: lines + ["ball-rhs 99"], "the certificate repeats the 'ball-rhs' line"),
         (lambda lines, name: lines + ["slack 0 0.5"], "the certificate repeats slack index 0"),
         (_replace_line("setting", "setting conic"),
          "unknown setting 'conic'; expected one of polar, packing, general"),
+        (_replace_line("oracle-opt-certificate", "oracle-opt-certificate 1"),
+         f"the first line must be {HEADER!r}, not 'oracle-opt-certificate 1'"),
+        (lambda lines, name: ["# no header", ""] + lines[1:],
+         f"the first line must be {HEADER!r}, not 'setting packing'"),
+        (lambda lines, name: lines + ["claimed-bond 99"], "unknown line 'claimed-bond 99'"),
+        (lambda lines, name: lines + [f"multiplier {name} 1"], "unknown line 'multiplier {name} 1'"),
     ],
-    ids=["absent_row", "short_row", "slack_index", "no_dimension", "row_without_values",
-         "multiplier_without_value", "slack_without_value", "nonnumeric_R", "nonnumeric_gamma",
-         "nonnumeric_dimension", "repeated_row", "repeated_scalar", "repeated_slack",
-         "unknown_setting"],
+    ids=["short_row", "slack_index", "no_dimension", "row_without_values",
+         "slack_without_value", "nonnumeric_R", "nonnumeric_gamma", "nonnumeric_dimension",
+         "repeated_scalar", "repeated_slack", "unknown_setting", "v1_header", "no_header",
+         "misspelt_key", "unknown_key"],
 )
 def test_verify_names_the_fault_of_a_malformed_certificate(corrupt, message, tmp_path, capsys):
     graph = generate_triangle_instance(9, 3, 0)
     d = graph.n_edges
     lines = certificate_to_text(fc1_matching_run(graph).certificate).splitlines()
-    name = next(line.split()[1] for line in lines if line.startswith("multiplier "))
+    assert lines[0] == HEADER
+    name = next(line.split()[1] for line in lines if line.startswith("row "))
     (tmp_path / "run.cert").write_text("\n".join(corrupt(lines, name)) + "\n")
     capsys.readouterr()
     assert main(["verify", "--certificate", str(tmp_path / "run.cert")]) == 1
@@ -363,12 +366,24 @@ def test_verify_names_the_fault_of_a_malformed_certificate(corrupt, message, tmp
     assert err == "error: " + message.format(name=name, d=d, short=d - 1) + "\n"
 
 
+@pytest.mark.parametrize("name", ["my row", " padded", "tab\tbed"])
+def test_row_name_with_whitespace_is_refused_at_write_time(name):
+    # Such a name could not be read back as one token of its row line.
+    graph = generate_triangle_instance(9, 3, 0)
+    cert = fc1_matching_run(graph).certificate
+    cons, mult = cert.rows[-1]
+    renamed = replace(cert, rows=cert.rows[:-1] + [(replace(cons, name=name), mult)])
+    assert verify_certificate(renamed).passed
+    with pytest.raises(ValueError, match=re.escape(f"the row name {name!r} is not one token")):
+        certificate_to_text(renamed)
+
+
 def test_verify_rejects_slack_outside_packing(tmp_path, capsys):
     # Slack alone "proves" max -x_1 <= 0 on any body, e.g. on the ball of
     # radius 1 around (-5, 0), whose maximum is 6; only packing bodies lie in
     # the orthant, where the rows -x_i <= 0 hold.
     forged = textwrap.dedent("""\
-        oracle-opt-certificate 1
+        oracle-opt-certificate 2
         setting {setting}
         dimension 2
         objective -1 0

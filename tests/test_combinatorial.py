@@ -443,6 +443,14 @@ class TestOddsetSeparation:
             assert row.violation(x) <= 1e-9
 
 
+def adjacency(graph: Graph) -> np.ndarray:
+    """The dense boolean adjacency matrix, for the references and checks here."""
+    adj = np.zeros((graph.n_nodes, graph.n_nodes), dtype=bool)
+    for u, v in graph.edges:
+        adj[u, v] = adj[v, u] = True
+    return adj
+
+
 def reference_max_weight_clique(graph: Graph, weights):
     """The adjacency-matrix branch and bound that max_weight_clique replaced.
 
@@ -450,7 +458,7 @@ def reference_max_weight_clique(graph: Graph, weights):
     bound, same float additions in the same order.
     """
     weights = np.asarray(weights, dtype=float)
-    adj = graph.adjacency()
+    adj = adjacency(graph)
     nodes = [v for v in range(graph.n_nodes) if weights[v] > 1e-9]
     nodes.sort(key=lambda v: (-weights[v], v))
     best_w = 0.0
@@ -504,7 +512,7 @@ class TestCliqueSeparation:
 
     def test_independent_set_is_inside(self):
         g = random_gnp(10, 0.5, seed=2)
-        adj = g.adjacency()
+        adj = adjacency(g)
         chosen: list[int] = []
         for v in range(10):
             if not any(adj[v, u] for u in chosen):
@@ -523,7 +531,7 @@ class TestCliqueSeparation:
             g = random_gnp(10, 0.5, seed=100 + trial)
             x = rng.uniform(0, 1, size=10)
             weight, clique = max_weight_clique(g, x)
-            adj = g.adjacency()
+            adj = adjacency(g)
             assert all(adj[u, v] for u in clique for v in clique if u != v)
             best = max(
                 (float(sum(x[v] for v in c)) for c in enumerate_maximal_cliques(g)),

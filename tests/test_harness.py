@@ -59,6 +59,22 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(str(path))
 
+    def test_file_value_of_the_wrong_type_names_its_line(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("problem = matching\nnodes = abc\n")
+        with pytest.raises(ValueError) as raised:
+            load_config(str(path))
+        assert str(raised.value) == f"{path}:2: nodes must be int, not 'abc'"
+
+    def test_env_value_of_the_wrong_type_names_its_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ORACLEOPT_ITERS", "1.5")
+        with pytest.raises(ValueError) as raised:
+            load_config(None)
+        assert str(raised.value) == "ORACLEOPT_ITERS: iters must be int, not '1.5'"
+        capsys.readouterr()
+        assert main(["run", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: ORACLEOPT_ITERS: iters must be int, not '1.5'\n"
+
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown problem"):
             load_config(None, {"problem": "sudoku"})

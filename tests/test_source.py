@@ -1,4 +1,5 @@
 import ast
+import types
 from pathlib import Path
 
 import oracleopt
@@ -29,3 +30,22 @@ def test_sources_import_only_at_module_level():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert found == []
+
+
+def test_public_names_are_used_by_the_package_or_the_benchmark():
+    # No public API may exist only for its own unit tests: each exported name
+    # other than a submodule is read somewhere in src/oracleopt (outside
+    # __init__.py) or perfbench/.  An import alone does not count.
+    root = Path(oracleopt.__file__).parent
+    paths = [p for p in sorted(root.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((root.parents[1] / "perfbench").glob("*.py"))
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    exported = [name for name in oracleopt.__all__
+                if not isinstance(getattr(oracleopt, name), types.ModuleType)]
+    assert exported and [name for name in exported if name not in used] == []
