@@ -23,7 +23,6 @@ from .lp_baseline import (
     LPStop,
     UnboundedLPError,
     cut_loop,
-    lp_stop_bound,
     solve_lp,
 )
 from .oracle import (
@@ -40,17 +39,11 @@ from .oracle import (
 )
 from .solver_general import (
     GeneralState,
-    general_dual_bound,
-    general_step,
     run_general,
 )
 from .solver_polar import (
     PolarMode,
     PolarState,
-    candidate_point,
-    dual_bound,
-    initialize_gamma,
-    polar_step,
     run_polar,
 )
 from .trace import CapOnly, ConvergenceTrace, GapStop, RunResult, StopRule, TraceRow

@@ -49,7 +49,7 @@ def _cmd_run(args) -> int:
     summary, trace_path = run_experiment(config)
     status = "converged" if summary.converged else "iteration cap hit"
     print(
-        f"{summary.problem} {summary.method} seed={summary.seed}: "
+        f"{config.problem} {config.method} seed={config.seed}: "
         f"{summary.iterations} iterations, value {summary.gamma:.6g}, "
         f"bound {summary.bound:.6g} ({status})"
     )

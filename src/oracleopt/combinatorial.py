@@ -456,37 +456,31 @@ def degree_constraint(graph: Graph, node: int) -> Constraint:
     return Constraint(a, 1.0, ConstraintForm.POLAR, f"degree:{node}")
 
 
-def matching_initial_rows(graph: Graph, preset: str) -> list[Constraint]:
-    """Initial constraints: variable upper bounds, plus degree rows for 'basic'."""
+def matching_initial_rows(graph: Graph) -> list[Constraint]:
+    """Initial constraints: variable upper bounds, then degree rows."""
     rows = []
     for j in range(graph.n_edges):
         e = np.zeros(graph.n_edges)
         e[j] = 1.0
         rows.append(Constraint(e, 1.0, ConstraintForm.POLAR, f"ub:{j}"))
-    if preset == "basic":
-        inc = graph.incident_edges()
-        for v in range(graph.n_nodes):
-            if inc[v]:
-                rows.append(degree_constraint(graph, v))
-    elif preset != "upper_bound":
-        raise ValueError(f"unknown constraint preset {preset!r}")
+    inc = graph.incident_edges()
+    for v in range(graph.n_nodes):
+        if inc[v]:
+            rows.append(degree_constraint(graph, v))
     return rows
 
 
-def stableset_initial_rows(graph: Graph, preset: str) -> list[Constraint]:
-    """Initial constraints: variable upper bounds, plus edge rows for 'basic'."""
+def stableset_initial_rows(graph: Graph) -> list[Constraint]:
+    """Initial constraints: variable upper bounds, then edge rows."""
     rows = []
     for v in range(graph.n_nodes):
         e = np.zeros(graph.n_nodes)
         e[v] = 1.0
         rows.append(Constraint(e, 1.0, ConstraintForm.POLAR, f"ub:{v}"))
-    if preset == "basic":
-        for u, v in graph.edges:
-            a = np.zeros(graph.n_nodes)
-            a[u] = a[v] = 1.0
-            rows.append(Constraint(a, 1.0, ConstraintForm.POLAR, f"edge:{u}|{v}"))
-    elif preset != "upper_bound":
-        raise ValueError(f"unknown constraint preset {preset!r}")
+    for u, v in graph.edges:
+        a = np.zeros(graph.n_nodes)
+        a[u] = a[v] = 1.0
+        rows.append(Constraint(a, 1.0, ConstraintForm.POLAR, f"edge:{u}|{v}"))
     return rows
 
 

@@ -211,7 +211,7 @@ def min_norm_point(target, atoms, recession_nonneg: bool = False, start=None) ->
             converged = True
             break
 
-        if atom_gap >= ray_gap:
+        if not recession_nonneg or atom_gap >= ray_gap:
             if enter_atom not in active_atoms:
                 active_atoms.append(enter_atom)
                 w = np.append(w, 0.0)

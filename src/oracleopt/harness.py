@@ -40,7 +40,6 @@ CHOICES = {
     "problem": ("matching", "stableset", "synthetic-ball", "synthetic-polytope"),
     "method": ("polar", "general", "cutloop"),
     "init": ("standard", "optimal"),
-    "initial_constraints": ("upper_bound", "basic"),
     "stop": ("auto", "lp1pct", "gap", "cap"),
 }
 
@@ -51,7 +50,6 @@ class ExperimentConfig:
     method: str = "polar"
     frequency: int = 0  # 0 disables corrective steps; k >= 1 corrects every k-th iteration
     init: str = "standard"
-    initial_constraints: str = "basic"
     iters: int = 1000
     stop: str = "auto"
     epsilon: float = 0.01
@@ -139,12 +137,11 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
 
 @dataclass
 class ExperimentSummary:
-    problem: str
+    """One run's outcome; a capped run's iterations equal the cap."""
+
     method: str
     frequency: int
     init: str
-    initial_constraints: str
-    seed: int
     iterations: int
     gamma: float
     bound: float
@@ -188,7 +185,7 @@ def build_instance(config: ExperimentConfig) -> Instance:
         if d == 0:
             raise ValueError("matching instance has no edges")
         oracle = comb.MatchingOracle(graph, max_set_size=config.max_set_size)
-        rows = comb.matching_initial_rows(graph, config.initial_constraints)
+        rows = comb.matching_initial_rows(graph)
         opt = lambda: comb.brute_force_matching_opt(graph)  # noqa: E731
         # The feasible region contains the standard simplex, hence the ball
         # of radius 1/sqrt(d) meets it in the orthant: gamma = r ||c|| = 1.
@@ -199,7 +196,7 @@ def build_instance(config: ExperimentConfig) -> Instance:
         if n == 0:
             raise ValueError("stableset instance has no nodes")
         oracle = comb.StableSetOracle(graph)
-        rows = comb.stableset_initial_rows(graph, config.initial_constraints)
+        rows = comb.stableset_initial_rows(graph)
         opt = lambda: comb.clique_relaxation_opt(graph)  # noqa: E731
         return Instance(oracle, np.ones(n), rows, np.zeros(n), opt, PolarMode.PACKING, 1.0)
     if config.problem == "synthetic-ball":
@@ -246,7 +243,7 @@ def _load_graph(config: ExperimentConfig) -> comb.Graph:
 # The config fields that define an instance; runs that agree on them, and on a
 # graph file's text (so a file edited in place is a new instance), share it.
 _INSTANCE_FIELDS = ("problem", "nodes", "triangles", "density", "seed", "dim", "radius",
-                    "center_offset", "max_set_size", "initial_constraints", "graph_file")
+                    "center_offset", "max_set_size", "graph_file")
 
 
 @functools.lru_cache(maxsize=1)
@@ -321,12 +318,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
             )
         iterations, gamma, bound = result.iterations, result.gamma, result.bound
     summary = ExperimentSummary(
-        problem=config.problem,
         method=config.method,
         frequency=config.frequency,
         init=config.init,
-        initial_constraints=config.initial_constraints,
-        seed=config.seed,
         iterations=iterations,
         gamma=gamma,
         bound=bound,
@@ -346,8 +340,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentSummary, Optiona
 def emit_table(summaries) -> tuple[str, str]:
     """Aggregate summaries into an aligned text table plus CSV.
 
-    Groups by (method, frequency, initialization); unconverged runs are
-    flagged, excluded from the means, and footnoted.
+    Groups by (method, frequency, initialization).  The mean iteration count
+    is over all runs, a capped run counting at the cap; a group with capped
+    runs is starred and footnoted.
     """
     summaries = list(summaries)
     if not summaries:
@@ -362,20 +357,16 @@ def emit_table(summaries) -> tuple[str, str]:
     for key in sorted(groups):
         method, freq, init = key
         bucket = groups[key]
-        done = [s for s in bucket if s.converged]
-        if done:
-            mean = sum(s.iterations for s in done) / len(done)
-            mean_txt = f"{mean:.2f}"
-        else:
-            mean_txt = "no converged runs"
-        if len(done) < len(bucket):
+        done = sum(s.converged for s in bucket)
+        mean_txt = f"{sum(s.iterations for s in bucket) / len(bucket):.2f}"
+        if done < len(bucket):
             mean_txt += " *"
             footnotes.append(
                 f"* {method}/frequency {freq}/{init}: "
-                f"{len(bucket) - len(done)} unconverged run(s) excluded"
+                f"{len(bucket) - done} run(s) counted at the iteration cap"
             )
         rows.append(
-            (method, str(freq), init, str(len(bucket)), str(len(done)), mean_txt)
+            (method, str(freq), init, str(len(bucket)), str(done), mean_txt)
         )
 
     widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]

@@ -153,7 +153,7 @@ class PolytopeOracle(SeparationOracle):
     break toward the lowest constraint index.
     """
 
-    def __init__(self, constraints, box_bounds=None, radius_outer=None, radius_inner=None):
+    def __init__(self, constraints, box_bounds=None, *, radius_outer, radius_inner=None):
         rows = list(constraints)
         if box_bounds is not None:
             lo, hi = box_bounds
@@ -177,8 +177,6 @@ class PolytopeOracle(SeparationOracle):
         self.dimension = rows[0].dim
         if any(r.dim != self.dimension for r in rows):
             raise ValueError("constraint dimensions disagree")
-        if radius_outer is None:
-            raise ValueError("PolytopeOracle needs an explicit enclosing radius")
         self.radius_outer = float(radius_outer)
         self.radius_inner = radius_inner
         self._matrix = np.array([r.a for r in rows])

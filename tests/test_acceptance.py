@@ -182,7 +182,7 @@ def test_criterion_4_certificate_soundness():
         oracle = MatchingOracle(graph, max_set_size=11)
         res = run_polar(
             oracle, np.ones(d), gamma1=1.0, stop=CapOnly(), max_iters=60,
-            mode=PolarMode.PACKING, initial_constraints=matching_initial_rows(graph, "basic"),
+            mode=PolarMode.PACKING, initial_constraints=matching_initial_rows(graph),
         )
         matchable = _matching_vertices(graph)
         runs.append((res, (np.ones(d), matchable)))
@@ -395,7 +395,7 @@ def test_criterion_9_packing_invariants():
             d = graph.n_edges
             opt = float(brute_force_matching_opt(graph))
             oracle = MatchingOracle(graph, max_set_size=11)
-            rows = matching_initial_rows(graph, "basic")
+            rows = matching_initial_rows(graph)
 
             seen = []
             inner = oracle.separate

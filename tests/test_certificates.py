@@ -69,11 +69,11 @@ def combinatorial_fc1_run(problem):
     """A fully corrective packing run to a 5% gap on a small matching or stable-set instance."""
     if problem == "matching":
         graph = generate_triangle_instance(12, 4, 2)
-        oracle, rows = MatchingOracle(graph, max_set_size=11), matching_initial_rows(graph, "basic")
+        oracle, rows = MatchingOracle(graph, max_set_size=11), matching_initial_rows(graph)
         d = graph.n_edges
     else:
         graph = random_gnp(12, 0.55, 0)
-        oracle, rows = StableSetOracle(graph), stableset_initial_rows(graph, "basic")
+        oracle, rows = StableSetOracle(graph), stableset_initial_rows(graph)
         d = graph.n_nodes
     return run_polar(
         oracle, np.ones(d), gamma1=1.0, stop=GapStop(0.05), max_iters=500,

@@ -153,7 +153,7 @@ def test_verify_round_trip_with_instance(tmp_path):
           "--out", str(tmp_path / "g.dimacs")])
     graph = parse_dimacs((tmp_path / "g.dimacs").read_text())
     oracle = MatchingOracle(graph, max_set_size=11)
-    rows = matching_initial_rows(graph, "basic")
+    rows = matching_initial_rows(graph)
     d = graph.n_edges
     from oracleopt.combinatorial import brute_force_matching_opt
 
@@ -233,7 +233,7 @@ def fc1_matching_run(graph):
     return run_polar(
         MatchingOracle(graph, max_set_size=11), np.ones(d), gamma1=1.0, stop=GapStop(0.05),
         max_iters=500, strategy=fully_corrective(1), mode=PolarMode.PACKING,
-        initial_constraints=matching_initial_rows(graph, "basic"),
+        initial_constraints=matching_initial_rows(graph),
     )
 
 
@@ -412,7 +412,7 @@ def test_verify_without_instance_says_only_self_consistency_was_checked(tmp_path
     res = run_polar(
         MatchingOracle(graph, max_set_size=9), np.ones(d), gamma1=1.0, stop=GapStop(0.05),
         max_iters=500, mode=PolarMode.PACKING,
-        initial_constraints=matching_initial_rows(graph, "basic"),
+        initial_constraints=matching_initial_rows(graph),
     )
     (tmp_path / "run.cert").write_text(certificate_to_text(res.certificate))
     (tmp_path / "g.dimacs").write_text(to_dimacs(graph))

@@ -680,16 +680,9 @@ class TestOracles:
         warned = [r for r in caplog.records if "cap 3 was binding" in r.getMessage()]
         assert len(warned) == 1
 
-    def test_initial_row_presets(self):
-        g = K3
-        ub_only = matching_initial_rows(g, "upper_bound")
-        basic = matching_initial_rows(g, "basic")
-        assert len(ub_only) == 3
-        assert len(basic) == 6
-        ss_basic = stableset_initial_rows(g, "basic")
-        assert len(ss_basic) == 6  # three bounds plus three edges
-        with pytest.raises(ValueError):
-            matching_initial_rows(g, "everything")
+    def test_initial_row_counts(self):
+        assert len(matching_initial_rows(K3)) == 6  # three bounds plus three degree rows
+        assert len(stableset_initial_rows(K3)) == 6  # three bounds plus three edges
 
     def test_degree_rows_mark_the_incident_edges(self):
         for seed in range(5):

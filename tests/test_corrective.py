@@ -162,9 +162,12 @@ class TestMinNormPoint:
         # A negative tolerance never converges: every call runs to its cap and
         # returns the best iterate, whose weights (and slack) still give its point.
         rng = np.random.default_rng(73)
-        for _ in range(5):
-            atoms = rng.normal(size=(8, 3))
-            target = rng.normal(size=3)
+        draws = [(rng.normal(size=(8, 3)), rng.normal(size=3)) for _ in range(5)]
+        # On this draw a plain call's atom gap can round below the ray gap of
+        # 0; a call without recession rays must still enter none.
+        rng = np.random.default_rng(1)
+        draws.append((rng.normal(size=(8, 3)), rng.normal(size=3)))
+        for atoms, target in draws:
             converged = min_norm_point(target, atoms, recession_nonneg=recession)
             monkeypatch.setattr(corrective, "_OPT_TOL", -1.0)
             with pytest.warns(UserWarning, match="cycle safeguard"):
@@ -545,7 +548,7 @@ class TestAtomSet:
         res = run_polar(
             MatchingOracle(graph, max_set_size=11), np.ones(graph.n_edges), gamma1=1.0,
             stop=GapStop(0.05), max_iters=500, strategy=fully_corrective(1),
-            mode=PolarMode.PACKING, initial_constraints=matching_initial_rows(graph, "basic"),
+            mode=PolarMode.PACKING, initial_constraints=matching_initial_rows(graph),
         )
         rows = res.state.atoms.rows
         assert res.state.cuts

@@ -23,12 +23,9 @@ from oracleopt.solver_general import run_general
 
 def summary(**kw):
     base = dict(
-        problem="matching",
         method="polar",
         frequency=1,
         init="standard",
-        initial_constraints="basic",
-        seed=0,
         iterations=10,
         gamma=4.0,
         bound=4.0,
@@ -57,6 +54,13 @@ class TestLoadConfig:
         path = tmp_path / "run.conf"
         path.write_text("wibble = 3\n")
         with pytest.raises(ValueError, match="unknown config key"):
+            load_config(str(path))
+
+    def test_initial_constraints_key_rejected(self, tmp_path):
+        # Every run starts from the bound rows plus the degree or edge rows.
+        path = tmp_path / "run.conf"
+        path.write_text("initial_constraints = basic\n")
+        with pytest.raises(ValueError, match="unknown config key 'initial_constraints'"):
             load_config(str(path))
 
     def test_file_value_of_the_wrong_type_names_its_line(self, tmp_path):
@@ -429,18 +433,15 @@ class TestEmitTable:
         assert "10.00" in text
         assert csv.splitlines()[0].startswith("method,")
 
-    def test_unconverged_flagged_and_excluded(self):
+    def test_capped_runs_count_at_the_cap_and_are_flagged(self):
         rows = [
             summary(iterations=10),
-            summary(iterations=999, converged=False),
+            summary(iterations=1000, converged=False),
         ]
-        text, _ = emit_table(rows)
-        assert "10.00 *" in text
-        assert "unconverged" in text
-
-    def test_no_converged_runs_marker(self):
-        text, _ = emit_table([summary(converged=False)])
-        assert "no converged runs" in text
+        text, csv = emit_table(rows)
+        assert "505.00 *" in text
+        assert "* polar/frequency 1/standard: 1 run(s) counted at the iteration cap" in text
+        assert csv.splitlines()[1] == "polar,1,standard,2,1,505.00*"
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

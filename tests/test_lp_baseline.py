@@ -546,7 +546,7 @@ class TestCutLoop:
 
     def test_cap_of_zero_separates_nothing_like_the_solvers(self, monkeypatch):
         graph = random_gnp(12, 0.5, 0)
-        rows = stableset_initial_rows(graph, "basic")
+        rows = stableset_initial_rows(graph)
         c, bounds = np.ones(12), dict(lb=np.zeros(12))
         calls = []
         real = StableSetOracle.separate
@@ -745,7 +745,7 @@ class TestWarmStartedLPStopBound:
 
     def test_context_reused_across_runs_gives_the_fresh_traces(self):
         graph = generate_triangle_instance(12, 5, 0)
-        rows = matching_initial_rows(graph, "basic")
+        rows = matching_initial_rows(graph)
         d = graph.n_edges
 
         def run(stop, strategy):
@@ -984,7 +984,7 @@ class TestResumedCutLoop:
             for t, s in ((10, 0), (10, 1), (11, 1), (15, 0), (16, 0), (17, 0))
         ]
         + [
-            ("stableset", dict(nodes=22, density=0.55, seed=s, initial_constraints="basic"))
+            ("stableset", dict(nodes=22, density=0.55, seed=s))
             for s in (0, 1, 2)
         ]
         # Free variables: every structural column has a mirror column.

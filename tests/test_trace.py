@@ -58,7 +58,7 @@ def test_golden_trace_bytes(name, tmp_path):
 
 def _matching_run_args(graph, every=1):
     d = graph.n_edges
-    rows = matching_initial_rows(graph, "basic")
+    rows = matching_initial_rows(graph)
     opt = float(brute_force_matching_opt(graph))
     return dict(
         oracle=MatchingOracle(graph, max_set_size=graph.n_nodes),
